@@ -489,7 +489,7 @@ def main(argv=None):
     except (WordParseError, PolyParseError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (DiagramError, NotAUnit, ContextMismatch, ValueError) as exc:
+    except (DiagramError, NotAUnit, ContextMismatch, ValueError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

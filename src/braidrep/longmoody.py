@@ -7,7 +7,7 @@ import numpy as np
 
 from .matrices import Permutation, RingMatrix, direct_sum
 from .reps import GenRep, make_burau, make_one_dim, make_tym, tensor_one_dim
-from .ring import RingContext
+from .ring import PrimeField, RingContext, specialize
 from .words import (BraidWord, FreeWord, artin_action, chi, commutator,
                     fox_derivative)
 
@@ -302,28 +302,16 @@ def block_formula_lm_q_tym(n, i):
     return left * right
 
 
-def _specialize_matrix_mod_p(m, p, values):
+def _specialize_matrix_mod_p(m, field, values, dtype):
     """Evaluate a Laurent matrix at unit values of the variables mod p."""
-    ctx = m.ring
-    out = np.zeros((m.rows, m.cols), dtype=np.int64)
-    for r in range(m.rows):
-        for c in range(m.cols):
-            poly = m[r, c]
-            acc = 0
-            for exps, coeff in poly.terms.items():
-                term = coeff % p
-                for var, e in zip(ctx.variables, exps):
-                    if e:
-                        term = (term * pow(values[var], e, p)) % p
-                acc = (acc + term) % p
-            out[r, c] = acc
-    return out
+    return np.array([[specialize(e, values, field).value for e in m.row(r)]
+                     for r in range(m.rows)], dtype=dtype)
 
 
 def _mod_inverse_matrix(a, p):
     """Inverse of an integer matrix mod p by Gaussian elimination, or None."""
     d = a.shape[0]
-    aug = np.concatenate([a % p, np.eye(d, dtype=np.int64)], axis=1)
+    aug = np.concatenate([a % p, np.eye(d, dtype=a.dtype)], axis=1)
     for col in range(d):
         piv = None
         for r in range(col, d):
@@ -373,17 +361,21 @@ def irreducibility_probe(rep, p=10007, trials=5, seed=0):
     A trial specializes every variable to a random nonzero value mod p and
     closes the span of words in the generator images under multiplication.
     Reaching dimension d*d in any trial certifies that no proper invariant
-    subspace can exist generically.
+    subspace can exist generically.  `p` must be prime (ValueError
+    otherwise).  Arithmetic is on int64 while a matrix product entry,
+    at most d*(p-1)^2, stays below 2^63, and on exact Python integers above.
     """
+    field = PrimeField(p)
     rng = random.Random(seed)
     d = rep.dim
+    dtype = np.int64 if d * (p - 1) ** 2 < 2 ** 63 else object
     best = 0
     for trial in range(1, trials + 1):
         values = {v: rng.randrange(1, p) for v in rep.ring.variables}
         gens = []
         singular = False
         for i in range(1, rep.n):
-            g = _specialize_matrix_mod_p(rep.sigma_images[i], p, values)
+            g = _specialize_matrix_mod_p(rep.sigma_images[i], field, values, dtype)
             g_inv = _mod_inverse_matrix(g, p)
             if g_inv is None:
                 singular = True
@@ -392,7 +384,7 @@ def irreducibility_probe(rep, p=10007, trials=5, seed=0):
         if singular:
             continue
         basis = _SpanBasis(p, d * d)
-        queue = [np.eye(d, dtype=np.int64)]
+        queue = [np.eye(d, dtype=dtype)]
         basis.add(queue[0].reshape(-1))
         while queue and basis.dim() < d * d:
             m = queue.pop()

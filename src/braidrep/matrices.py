@@ -6,7 +6,8 @@ and all operations return fresh values.
 """
 from __future__ import annotations
 
-from .ring import ContextMismatch, LaurentPoly, NotAUnit, RingContext
+from .ring import (EXP_MAX, ContextMismatch, LaurentPoly, NotAUnit, RingContext,
+                   _product_bound, _row_products, specialize)
 
 
 class ShapeMismatch(ValueError):
@@ -167,36 +168,21 @@ class RingMatrix:
     def _mul_laurent(self, other):
         ctx = self.ring
         n, m, l = self.rows, self.cols, other.cols
-        brows = []
-        for j in range(m):
-            base = j * l
-            brows.append([
-                (k, other.entries[base + k].terms)
-                for k in range(l)
-                if other.entries[base + k].terms
-            ])
+        brows = [other.entries[j * l:(j + 1) * l] for j in range(m)]
+        bterms = [[(k, b.terms) for k, b in enumerate(row) if b.terms] for row in brows]
+        bbound = max((b._bound for b in other.entries), default=0)
+        raw = LaurentPoly._raw
         zero = ctx.zero()
         flat = []
         for i in range(n):
-            acc = [None] * l
-            abase = i * m
-            for j in range(m):
-                at = self.entries[abase + j].terms
-                if not at:
-                    continue
-                for k, bt in brows[j]:
-                    d = acc[k]
-                    if d is None:
-                        d = acc[k] = {}
-                    for ea, ca in at.items():
-                        for eb, cb in bt.items():
-                            e = tuple(x + y for x, y in zip(ea, eb))
-                            s = d.get(e, 0) + ca * cb
-                            if s:
-                                d[e] = s
-                            elif e in d:
-                                del d[e]
-            flat.extend(zero if not d else LaurentPoly._raw(ctx, d) for d in acc)
+            arow = self.entries[i * m:(i + 1) * m]
+            # one exponent bound for the whole row of the product
+            bound = max((a._bound for a in arow), default=0) + bbound
+            if bound > EXP_MAX:
+                bound = max((_product_bound(a, b) for a, row in zip(arow, brows) for b in row),
+                            default=0)
+            flat.extend(raw(ctx, d, bound) if d else zero
+                        for d in _row_products([a.terms for a in arow], bterms, l))
         return RingMatrix(self.ring, n, l, flat)
 
     def _mul_generic(self, other):
@@ -378,21 +364,11 @@ class RingMatrix:
         for fam, members in by_family.items():
             if set(members) != set(range(1, n + 1)):
                 raise ValueError("family %r does not cover indices 1..%d" % (fam, n))
-        # position i in the exponent vector maps to position target[i]
-        target = []
+        images = {}
         for v in ctx.variables:
             fam, idx = fams[v]
-            target.append(ctx.index(by_family[fam][perm(idx - 1) + 1]))
-        flat = []
-        for e in self.entries:
-            terms = {}
-            for exps, c in e.terms.items():
-                new = [0] * ctx.arity
-                for i, x in enumerate(exps):
-                    new[target[i]] += x
-                terms[tuple(new)] = c
-            flat.append(LaurentPoly._raw(ctx, terms))
-        return RingMatrix(ctx, self.rows, self.cols, flat)
+            images[v] = ctx.var(by_family[fam][perm(idx - 1) + 1])
+        return self.map_entries(lambda e: specialize(e, images, ctx))
 
     def submatrix(self, row_sel, col_sel):
         return RingMatrix(self.ring, len(row_sel), len(col_sel),

@@ -1,7 +1,21 @@
 """Exact arithmetic in Z[x1^{+-1}, ..., xk^{+-1}] and in prime fields.
 
-Polynomials are stored as finite maps from exponent vectors (one integer
-per context variable, negatives allowed) to nonzero integer coefficients.
+Polynomials are stored as finite maps from monomial keys to nonzero integer
+coefficients.  A key packs the exponent vector (e_1, ..., e_r) of a context
+of arity r into one integer by signed-digit Kronecker substitution in base
+2^32, first variable in the most significant digit:
+
+    key = sum(e_i * 2^(32 * (r - 1 - i)))
+
+so multiplying monomials adds keys, inverting one negates its key, and the
+constant monomial is 0.  Every exponent lies in [-(2^31 - 1), 2^31 - 1]; in
+that range the digits never carry into each other and the integer order of
+keys equals the lexicographic order of exponent vectors.  Each polynomial
+keeps an upper bound on the absolute value of its exponents, and an
+operation that would form an exponent outside the range raises
+OverflowError instead of returning an aliased value.  Only this module
+packs and unpacks keys.
+
 All values are immutable after construction and all operations are pure.
 """
 from __future__ import annotations
@@ -11,6 +25,32 @@ import re
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 _FAMILY_RE = re.compile(r"([A-Za-z_]+?)([0-9]+)$")
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|(\^)|(\*)|(\+)|(-))")
+
+_SHIFT = 32
+_MASK = (1 << _SHIFT) - 1
+_HALF = 1 << (_SHIFT - 1)
+EXP_MAX = _HALF - 1
+"""Largest absolute value of an exponent."""
+
+
+def _pack(exps):
+    """Key of an exponent vector; OverflowError outside the exponent range."""
+    key = 0
+    for e in exps:
+        if not -EXP_MAX <= e <= EXP_MAX:
+            raise OverflowError("exponent %d outside +-%d" % (e, EXP_MAX))
+        key = (key << _SHIFT) + e
+    return key
+
+
+def _unpack(key, arity):
+    """Exponent vector of a key, as a list."""
+    exps = [0] * arity
+    for i in range(arity - 1, -1, -1):
+        e = ((key + _HALF) & _MASK) - _HALF
+        exps[i] = e
+        key = (key - e) >> _SHIFT
+    return exps
 
 
 class ContextMismatch(ValueError):
@@ -51,7 +91,7 @@ class RingContext:
             raise KeyError("variable %r not in context %r" % (name, self.variables))
 
     def zero(self):
-        return LaurentPoly._raw(self, {})
+        return LaurentPoly._raw(self, {}, 0)
 
     def one(self):
         return self.const(1)
@@ -59,16 +99,16 @@ class RingContext:
     def const(self, c):
         if c == 0:
             return self.zero()
-        return LaurentPoly._raw(self, {(0,) * self.arity: int(c)})
+        return LaurentPoly._raw(self, {0: int(c)}, 0)
 
     def monomial(self, exps, c=1):
         """Single-term polynomial c * prod(x_i^exps[i])."""
-        exps = tuple(int(e) for e in exps)
+        exps = [int(e) for e in exps]
         if len(exps) != self.arity:
             raise ValueError("exponent vector length %d != arity %d" % (len(exps), self.arity))
         if c == 0:
             return self.zero()
-        return LaurentPoly._raw(self, {exps: int(c)})
+        return LaurentPoly._raw(self, {_pack(exps): int(c)}, max(map(abs, exps), default=0))
 
     def var(self, name, power=1):
         exps = [0] * self.arity
@@ -104,32 +144,42 @@ class RingContext:
 
 
 class LaurentPoly:
-    """Multivariate Laurent polynomial with integer coefficients."""
+    """Multivariate Laurent polynomial with integer coefficients.
 
-    __slots__ = ("ctx", "terms")
+    `terms` maps monomial keys (see the module docstring) to coefficients;
+    `_bound` is an upper bound on the absolute value of every exponent.
+    """
+
+    __slots__ = ("ctx", "terms", "_bound")
 
     def __init__(self, ctx, terms):
-        clean = {}
+        """`terms` maps exponent vectors (tuples of length ctx.arity) to coefficients."""
+        out = {}
+        bound = 0
         for e, c in terms.items():
-            e = tuple(int(x) for x in e)
+            e = [int(x) for x in e]
             if len(e) != ctx.arity:
                 raise ValueError("exponent vector arity mismatch")
             c = int(c)
             if c:
-                clean[e] = clean.get(e, 0) + c
+                key = _pack(e)
+                out[key] = out.get(key, 0) + c
+                bound = max(bound, max(map(abs, e), default=0))
         self.ctx = ctx
-        self.terms = {e: c for e, c in clean.items() if c}
+        self.terms = {k: c for k, c in out.items() if c}
+        self._bound = bound
 
     @classmethod
-    def _raw(cls, ctx, terms):
+    def _raw(cls, ctx, terms, bound):
         p = object.__new__(cls)
         p.ctx = ctx
         p.terms = terms
+        p._bound = bound
         return p
 
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ContextMismatch("%r vs %r" % (self.ctx, other.ctx))
             return other
         if isinstance(other, int):
@@ -140,7 +190,7 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self):
-        return self.terms == {(0,) * self.ctx.arity: 1}
+        return self.terms == {0: 1}
 
     def is_monomial(self):
         return len(self.terms) == 1
@@ -155,26 +205,26 @@ class LaurentPoly:
     def inverse(self):
         if not self.is_unit():
             raise NotAUnit("not a unit: %s" % self)
-        ((e, c),) = self.terms.items()
-        return LaurentPoly._raw(self.ctx, {tuple(-x for x in e): c})
+        ((k, c),) = self.terms.items()
+        return LaurentPoly._raw(self.ctx, {-k: c}, self._bound)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
+        for k, c in other.terms.items():
+            s = out.get(k, 0) + c
             if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return LaurentPoly._raw(self.ctx, out)
+                out[k] = s
+            else:
+                del out[k]
+        return LaurentPoly._raw(self.ctx, out, max(self._bound, other._bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._raw(self.ctx, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._raw(self.ctx, {k: -c for k, c in self.terms.items()}, self._bound)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -192,30 +242,39 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return LaurentPoly._raw(self.ctx, out)
+        if not self.terms or not other.terms:
+            return self.ctx.zero()
+        bound = self._bound + other._bound
+        if bound > EXP_MAX:
+            bound = _product_bound(self, other)
+        (terms,) = _row_products((self.terms,), (((0, other.terms),),), 1)
+        return LaurentPoly._raw(self.ctx, terms, bound)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         k = int(k)
+        if k == 0:
+            return self.ctx.one()
+        if len(self.terms) == 1:
+            ((key, c),) = self.terms.items()
+            if k < 0 and c not in (1, -1):
+                raise NotAUnit("not a unit: %s" % self)
+            bound = self._bound * abs(k)
+            if bound > EXP_MAX:
+                bound = _exact_bound(self) * abs(k)
+                if bound > EXP_MAX:
+                    raise OverflowError("exponent of (%s)^%d outside +-%d" % (self, k, EXP_MAX))
+            return LaurentPoly._raw(self.ctx, {key * k: c ** abs(k)}, bound)
         if k < 0:
-            return self.inverse() ** (-k)
-        result = self.ctx.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+            raise NotAUnit("not a unit: %s" % self)
+        # left-to-right binary powering: floor(log2 k) squarings and
+        # popcount(k) - 1 further products
+        result = self
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):
@@ -235,6 +294,71 @@ class LaurentPoly:
 
     def __repr__(self):
         return "<%s>" % poly_render(self)
+
+
+def _row_products(arow, brows, width):
+    """Term maps of the row vector `arow` times a sparse matrix.
+
+    `arow[j]` is the term map of entry j of the row and `brows[j]` lists
+    (column, term map) for the nonzero entries of row j of the matrix.
+    Returns one term map per column, None where no product landed.  This is
+    the one multiplication loop of the package: keys add, coefficients
+    multiply, and cancelled terms are dropped.
+    """
+    acc = [None] * width
+    for at, brow in zip(arow, brows):
+        if not at:
+            continue
+        at = at.items()
+        for k, bt in brow:
+            d = acc[k]
+            if d is None:
+                d = acc[k] = {}
+            for ka, ca in at:
+                for kb, cb in bt.items():
+                    key = ka + kb
+                    s = d.get(key, 0) + ca * cb
+                    if s:
+                        d[key] = s
+                    else:
+                        del d[key]
+    return acc
+
+
+def _ranges(p):
+    """Per-variable lists of the lowest and the highest exponents of p."""
+    arity = p.ctx.arity
+    lo = [EXP_MAX] * arity
+    hi = [-EXP_MAX] * arity
+    for key in p.terms:
+        for i, e in enumerate(_unpack(key, arity)):
+            if e < lo[i]:
+                lo[i] = e
+            if e > hi[i]:
+                hi[i] = e
+    return lo, hi
+
+
+def _exact_bound(p):
+    """The largest absolute exponent of p."""
+    lo, hi = _ranges(p)
+    return max([0] + [-x for x in lo] + hi)
+
+
+def _product_bound(a, b):
+    """The largest absolute exponent of a * b, or OverflowError.
+
+    Each variable's highest (lowest) exponent in a product is the sum of
+    the factors' highest (lowest) ones: Z[x^{+-1}, ...] has no zero
+    divisors, so the extreme terms cannot cancel.
+    """
+    if not a.terms or not b.terms:
+        return 0
+    (alo, ahi), (blo, bhi) = _ranges(a), _ranges(b)
+    worst = max([0] + [-(x + y) for x, y in zip(alo, blo)] + [x + y for x, y in zip(ahi, bhi)])
+    if worst > EXP_MAX:
+        raise OverflowError("product has an exponent outside +-%d" % EXP_MAX)
+    return worst
 
 
 class PrimeField:
@@ -362,22 +486,66 @@ def specialize(p, images, target):
     missing = [v for v in p.ctx.variables if v not in images]
     if missing:
         raise KeyError("no image for variables %r" % (missing,))
+    field = isinstance(target, PrimeField)
     vals = []
     for v in p.ctx.variables:
         img = images[v]
         if isinstance(img, int):
-            img = target.const(img) if isinstance(target, RingContext) else target.elem(img)
+            img = target.elem(img) if field else target.const(img)
+        if getattr(img, "field" if field else "ctx", None) != target:
+            raise ContextMismatch("image of %s is not in %r" % (v, target))
         if not img.is_unit():
             raise NotAUnit("image of %s is not a unit: %r" % (v, img))
         vals.append(img)
-    out = target.zero()
-    for e, c in p.terms.items():
-        term = target.const(c) if isinstance(target, RingContext) else target.elem(c)
-        for img, exp in zip(vals, e):
-            if exp:
-                term = term * img ** exp
-        out = out + term
-    return out
+    arity = p.ctx.arity
+    if field:
+        mod = target.p
+        acc = 0
+        for key, c in p.terms.items():
+            for img, e in zip(vals, _unpack(key, arity)):
+                if e:
+                    c = c * pow(img.value, e, mod) % mod
+            acc += c
+        return PrimeFieldScalar(target, acc)
+    # each image is s*x^f with s = +-1, and a term c*x^e maps to
+    # c * prod(s_i^e_i) * x^(sum e_i*f_i), the key sum e_i*f_i
+    units = []
+    for img in vals:
+        ((f, s),) = img.terms.items()
+        units.append((f, s, img._bound))
+    out = {}
+    bound = 0
+    for key, c in p.terms.items():
+        exps = _unpack(key, arity)
+        k = b = 0
+        for e, (f, s, fb) in zip(exps, units):
+            if e:
+                k += e * f
+                b += abs(e) * fb
+                if s < 0 and e & 1:
+                    c = -c
+        if b > EXP_MAX:
+            b, k = _checked_image(exps, vals, target.arity)
+        bound = max(bound, b)
+        s = out.get(k, 0) + c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return LaurentPoly._raw(target, out, bound)
+
+
+def _checked_image(exps, vals, arity):
+    """(largest absolute exponent, key) of the monomial prod(vals[i]^exps[i]).
+
+    The exact, slow form of the key arithmetic in `specialize`, used when
+    its bound cannot rule out an exponent outside the range.
+    """
+    image = [0] * arity
+    for e, img in zip(exps, vals):
+        for j, f in enumerate(_unpack(next(iter(img.terms)), arity)):
+            image[j] += e * f
+    return max(map(abs, image), default=0), _pack(image)
 
 
 def embed(p, target):
@@ -389,16 +557,18 @@ def embed(p, target):
 def poly_render(p):
     """Canonical text form, parseable back to an equal polynomial.
 
-    Terms are ordered lexicographically by exponent vector; variables
-    inside a monomial are printed in alphabetical order.
+    Terms are ordered lexicographically by exponent vector, which is the
+    order of their keys; variables inside a monomial are printed in
+    alphabetical order.
     """
     if not p.terms:
         return "0"
     pieces = []
     names = p.ctx.variables
     order = sorted(range(len(names)), key=lambda i: names[i])
-    for e in sorted(p.terms):
-        c = p.terms[e]
+    for key in sorted(p.terms):
+        c = p.terms[key]
+        e = _unpack(key, len(names))
         factors = []
         for i in order:
             exp = e[i]
@@ -497,6 +667,9 @@ def _parse_poly(ctx, text):
             expect_factor = False
         if expect_factor:
             raise PolyParseError("dangling '*' in %r" % text)
-        result = result + ctx.monomial(exps, sign * coeff)
+        try:
+            result = result + ctx.monomial(exps, sign * coeff)
+        except OverflowError as exc:
+            raise PolyParseError("%s in %r" % (exc, text))
         first = False
     return result

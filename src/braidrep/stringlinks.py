@@ -229,11 +229,11 @@ def ctx_for_mode(mode, n):
     raise ValueError("unknown mode %r" % mode)
 
 
-def _mode_vars(mode, ctx, s_over, s_under):
-    """(u, v) weight variables for a classical crossing in the given mode."""
+def _mode_vars(mode, s_over, s_under):
+    """Names of the (u, v) weight variables of a classical crossing in the given mode."""
     if mode in ("2var", "w3"):
-        return ctx.var("u"), ctx.var("v")
-    return ctx.var("u%d" % s_over), ctx.var("v%d" % s_under)
+        return "u", "v"
+    return "u%d" % s_over, "v%d" % s_under
 
 
 def relations_of(d, mode, ctx=None):
@@ -250,24 +250,32 @@ def relations_of(d, mode, ctx=None):
         raise DiagramError("virtual crossings need a welded mode")
     if ctx is None:
         ctx = ctx_for_mode(mode, d.n)
+    weights = {}
+
+    def weight(name, e):
+        w = weights.get((name, e))
+        if w is None:
+            w = weights[(name, e)] = ctx.var(name, e)
+        return w
+
     rels = []
     for c in d.crossings:
         if isinstance(c, Classical):
             s_over = d.arc_string(c.over_in)
             s_under = d.arc_string(c.under_in)
-            u, v = _mode_vars(mode, ctx, s_over, s_under)
-            rels.append(LambdaRelation(c.under_in, c.under_out, u ** c.sign))
-            rels.append(LambdaRelation(c.over_in, c.over_out, v ** c.sign))
+            u, v = _mode_vars(mode, s_over, s_under)
+            rels.append(LambdaRelation(c.under_in, c.under_out, weight(u, c.sign)))
+            rels.append(LambdaRelation(c.over_in, c.over_out, weight(v, c.sign)))
         else:
             s_a = d.arc_string(c.a_in)
             s_b = d.arc_string(c.b_in)
             if mode == "w3":
-                al_for_a = al_for_b = ctx.var("al")
+                al_for_a = al_for_b = "al"
             else:
-                al_for_a = ctx.var("al%d" % s_b)
-                al_for_b = ctx.var("al%d" % s_a)
-            rels.append(LambdaRelation(c.a_in, c.a_out, al_for_a ** (-c.chirality)))
-            rels.append(LambdaRelation(c.b_in, c.b_out, al_for_b ** c.chirality))
+                al_for_a = "al%d" % s_b
+                al_for_b = "al%d" % s_a
+            rels.append(LambdaRelation(c.a_in, c.a_out, weight(al_for_a, -c.chirality)))
+            rels.append(LambdaRelation(c.b_in, c.b_out, weight(al_for_b, c.chirality)))
     return rels
 
 

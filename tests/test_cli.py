@@ -131,3 +131,32 @@ def test_determinism(tmp_path, capsys):
     _, out1, _ = run(capsys, "invariant", "--mode", "multi", "--word", word)
     _, out2, _ = run(capsys, "invariant", "--mode", "multi", "--word", word)
     assert out1 == out2
+
+
+def test_out_of_range_exponent_in_text_is_a_parse_error(tmp_path, capsys):
+    word = write(tmp_path, "w.braid", "n=3\n1 -2\n")
+    status, _, err = run(capsys, "eval", "--rep", "burau", "--word", word,
+                         "--spec", "t=t^2147483648")
+    assert status == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_exponent_overflow_in_arithmetic_is_a_domain_error(tmp_path, capsys):
+    word = write(tmp_path, "w.braid", "n=2\n1 1\n")
+    status, _, err = run(capsys, "eval", "--rep", "onedim:t^2147483647", "--word", word)
+    assert status == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_lm_irreducible_at_a_prime_above_int64_products(capsys):
+    # d*(p-1)^2 >= 2^63 here; the answer must agree with p = 10007
+    status, out, _ = run(capsys, "lm", "irreducible", "--rep", "burau3",
+                         "--prime", "4294967311")
+    assert status == 0
+    assert "dimension: 5" in out and "full: False" in out
+
+
+def test_lm_irreducible_rejects_composite_prime(capsys):
+    status, _, err = run(capsys, "lm", "irreducible", "--rep", "burau3", "--prime", "10005")
+    assert status == 1
+    assert "10005" in err and "Traceback" not in err

@@ -1,7 +1,10 @@
-import pytest
-from hypothesis import given, strategies as st
+import random
 
-from braidrep.ring import (ContextMismatch, NotAUnit, PolyParseError,
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from braidrep.matrices import RingMatrix
+from braidrep.ring import (ContextMismatch, LaurentPoly, NotAUnit, PolyParseError,
                            PrimeField, RingContext, embed, poly_render,
                            specialize)
 
@@ -131,3 +134,246 @@ def test_ring_axioms(a, b, c):
 @given(polys)
 def test_render_parse_round_trip(p):
     assert UV.parse(poly_render(p)) == p
+
+
+# --- the packed kernel against a reference on exponent tuples ---------------
+
+LIMIT = 2 ** 31 - 1
+
+
+def ref_check(e):
+    if any(abs(x) > LIMIT for x in e):
+        raise OverflowError(e)
+    return e
+
+
+def ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ref_check(tuple(x + y for x, y in zip(ea, eb)))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_pow(a, k, arity):
+    if k < 0:
+        if len(a) != 1 or set(a.values()) - {1, -1}:
+            raise NotAUnit(a)
+        a = {tuple(-x for x in e): c for e, c in a.items()}
+        k = -k
+    out = {(0,) * arity: 1}
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_render(names, terms):
+    if not terms:
+        return "0"
+    order = sorted(range(len(names)), key=lambda i: names[i])
+    text = ""
+    for e in sorted(terms):
+        c = terms[e]
+        factors = [names[i] if e[i] == 1 else "%s^%d" % (names[i], e[i])
+                   for i in order if e[i]]
+        body = "*".join(([str(abs(c))] if abs(c) != 1 or not factors else []) + factors)
+        if not text:
+            text = ("-" if c < 0 else "") + body
+        else:
+            text += " %s %s" % ("-" if c < 0 else "+", body)
+    return text
+
+
+def ref_specialize(a, images, arity):
+    """images: per variable, (sign, exponent vector in the target)."""
+    out = {}
+    for e, c in a.items():
+        img = [0] * arity
+        for x, (sign, f) in zip(e, images):
+            c *= sign ** (x % 2)
+            img = [y + x * g for y, g in zip(img, f)]
+        img = ref_check(tuple(img))
+        out[img] = out.get(img, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def outcome(fn, show=poly_render):
+    try:
+        return "ok", show(fn())
+    except (OverflowError, NotAUnit) as exc:
+        return "raises", type(exc)
+
+
+ARITY_CTX = {r: RingContext(tuple("x%d" % i for i in range(r))) for r in (1, 2, 3, 36)}
+TARGET = RingContext(("s", "w"))
+FIELD = PrimeField(10007)
+
+exponents = st.one_of(st.integers(-3, 3), st.integers(-LIMIT, LIMIT),
+                      st.sampled_from([LIMIT, -LIMIT, LIMIT // 2 + 1]))
+
+
+def ref_polys(arity):
+    vec = st.dictionaries(st.integers(0, arity - 1), exponents, max_size=min(arity, 3)).map(
+        lambda d: tuple(d.get(i, 0) for i in range(arity)))
+    return st.dictionaries(vec, st.integers(-5, 5).filter(bool), max_size=4)
+
+
+def build(ctx, terms):
+    return sum((ctx.monomial(e, c) for e, c in terms.items()), ctx.zero())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_kernel_matches_tuple_reference(data):
+    arity = data.draw(st.sampled_from(sorted(ARITY_CTX)))
+    ctx = ARITY_CTX[arity]
+    names = ctx.variables
+    A = data.draw(ref_polys(arity))
+    B = data.draw(ref_polys(arity))
+    a, b = build(ctx, A), build(ctx, B)
+
+    assert poly_render(a) == ref_render(names, A)
+    assert ctx.parse(poly_render(a)) == a
+    assert LaurentPoly(ctx, A) == a
+    assert poly_render(a + b) == ref_render(names, ref_add(A, B))
+    assert poly_render(a - b) == ref_render(names, ref_add(A, B, -1))
+    assert outcome(lambda: a * b) == outcome(lambda: ref_render(names, ref_mul(A, B)), str)
+
+    k = data.draw(st.integers(-3, 5))
+    assert outcome(lambda: a ** k) == outcome(lambda: ref_render(names, ref_pow(A, k, arity)), str)
+    if len(A) == 1 and set(A.values()) <= {1, -1}:
+        assert poly_render(a.inverse()) == ref_render(names, ref_pow(A, -1, arity))
+
+    # specialisation: every variable to +-s^i*w^j in TARGET, and to a nonzero scalar mod p
+    small = st.tuples(st.sampled_from([1, -1]), st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    imgs = [data.draw(small) for _ in range(arity)]
+    images = {v: TARGET.monomial(f, sign) for v, (sign, f) in zip(names, imgs)}
+    assert outcome(lambda: specialize(a, images, TARGET)) == outcome(
+        lambda: ref_render(TARGET.variables, ref_specialize(A, imgs, 2)), str)
+    values = [data.draw(st.integers(1, FIELD.p - 1)) for _ in range(arity)]
+    want = sum(c * _prod_mod(values, e, FIELD.p) for e, c in A.items()) % FIELD.p
+    assert specialize(a, dict(zip(names, values)), FIELD).value == want
+
+    # a 2x2 matrix product: an entry raises if any product it forms leaves the range
+    C = data.draw(ref_polys(arity))
+    left = RingMatrix.from_rows(ctx, [[a, b], [b, ctx.one()]])
+    right = RingMatrix.from_rows(ctx, [[b, build(ctx, C)], [a, ctx.zero()]])
+    one = {(0,) * arity: 1}
+    ref_left, ref_right = [[A, B], [B, one]], [[B, C], [A, {}]]
+
+    def ref_matrix():
+        return [ref_render(names, ref_add(ref_mul(ref_left[i][0], ref_right[0][k]),
+                                          ref_mul(ref_left[i][1], ref_right[1][k])))
+                for i in range(2) for k in range(2)]
+
+    assert outcome(lambda: left * right, lambda m: [poly_render(e) for e in m.entries]) == \
+        outcome(ref_matrix, lambda x: x)
+
+
+def _prod_mod(values, e, p):
+    out = 1
+    for v, x in zip(values, e):
+        out = out * pow(v, x, p) % p
+    return out
+
+
+def test_exponent_range_is_enforced():
+    xy = RingContext(("x", "y"))
+    with pytest.raises(OverflowError):
+        T.monomial((2 ** 31,))
+    with pytest.raises(OverflowError):
+        T.monomial((-2 ** 31,))
+    with pytest.raises(OverflowError):
+        T.var("t") ** 2 ** 31
+    with pytest.raises(OverflowError):
+        xy.monomial((LIMIT, 0)) * xy.var("x")
+    # the other variable's digit has room to spare
+    assert xy.monomial((LIMIT, 0)) * xy.var("y") == xy.monomial((LIMIT, 1))
+    assert xy.monomial((-LIMIT, 5)) * xy.monomial((0, -5)) == xy.monomial((-LIMIT, 0))
+    big = RingMatrix.from_rows(xy, [[xy.monomial((LIMIT - 1, 0)), xy.one()]])
+    col = RingMatrix.from_rows(xy, [[xy.var("x") ** 2], [xy.one()]])
+    with pytest.raises(OverflowError):
+        big * col
+    ok = RingMatrix.from_rows(xy, [[xy.var("x")], [xy.one()]])
+    assert (big * ok).entries == (xy.monomial((LIMIT, 0)) + 1,)
+
+
+def test_pow_costs_and_results(monkeypatch):
+    p = UV.parse("u + 2*v^-1 - 3")
+    u = UV.parse("-u*v^-2")
+    # repeated multiplication, worked out before products are counted
+    expected = {}
+    for base in (p, u, u.inverse()):
+        acc = UV.one()
+        for k in range(10):
+            expected[base, k] = acc
+            acc = acc * base
+    calls = []
+    mul = LaurentPoly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    for k in range(-3, 10):
+        del calls[:]
+        assert u ** k == (expected[u, k] if k >= 0 else expected[u.inverse(), -k])
+        assert not calls  # one key scaling and one coefficient power
+        if k < 0:
+            with pytest.raises(NotAUnit):
+                p ** k
+            continue
+        del calls[:]
+        assert p ** k == expected[p, k]
+        assert len(calls) <= max(0, k.bit_length() - 1 + bin(k).count("1") - 1)
+
+
+# --- differential tests against sympy ----------------------------------------
+
+def _sympy_of(sympy, ctx, p):
+    syms = {v: sympy.Symbol(v) for v in ctx.variables}
+    return sympy.sympify(poly_render(p).replace("^", "**"), locals=syms)
+
+
+def _random_poly(rng, ctx, terms=4, span=3):
+    out = ctx.zero()
+    for _ in range(rng.randrange(terms + 1)):
+        exps = [rng.randint(-span, span) for _ in ctx.variables]
+        out = out + ctx.monomial(exps, rng.randint(-4, 4))
+    return out
+
+
+def test_mul_and_specialize_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    ctx = RingContext(("t", "q", "u"))
+    t = sympy.Symbol("t")
+    for _ in range(25):
+        a, b = _random_poly(rng, ctx), _random_poly(rng, ctx)
+        sa, sb = _sympy_of(sympy, ctx, a), _sympy_of(sympy, ctx, b)
+        assert sympy.expand(_sympy_of(sympy, ctx, a * b) - sa * sb) == 0
+        ea, eq, eu = rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2)
+        images = {"t": T.monomial((ea,)), "q": -T.monomial((eq,)), "u": T.monomial((eu,))}
+        got = _sympy_of(sympy, T, specialize(a, images, T))
+        want = sa.subs({sympy.Symbol("t"): t ** ea, sympy.Symbol("q"): -t ** eq,
+                        sympy.Symbol("u"): t ** eu}, simultaneous=True)
+        assert sympy.expand(got - want) == 0
+
+
+def test_determinant_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(12)
+    for n in (1, 2, 3, 4):
+        rows = [[_random_poly(rng, UV, terms=2, span=2) for _ in range(n)] for _ in range(n)]
+        m = RingMatrix.from_rows(UV, rows)
+        sm = sympy.Matrix([[_sympy_of(sympy, UV, e) for e in r] for r in rows])
+        assert sympy.expand(_sympy_of(sympy, UV, m.determinant()) - sm.det()) == 0
