@@ -262,7 +262,7 @@ class LaurentPoly:
                 raise NotAUnit("not a unit: %s" % self)
             bound = self._bound * abs(k)
             if bound > EXP_MAX:
-                bound = _exact_bound(self) * abs(k)
+                bound = max(map(abs, _unpack(key, self.ctx.arity))) * abs(k)
                 if bound > EXP_MAX:
                     raise OverflowError("exponent of (%s)^%d outside +-%d" % (self, k, EXP_MAX))
             return LaurentPoly._raw(self.ctx, {key * k: c ** abs(k)}, bound)
@@ -337,12 +337,6 @@ def _ranges(p):
             if e > hi[i]:
                 hi[i] = e
     return lo, hi
-
-
-def _exact_bound(p):
-    """The largest absolute exponent of p."""
-    lo, hi = _ranges(p)
-    return max([0] + [-x for x in lo] + hi)
 
 
 def _product_bound(a, b):
