@@ -304,8 +304,16 @@ def block_formula_lm_q_tym(n, i):
 
 def _specialize_matrix_mod_p(m, field, values, dtype):
     """Evaluate a Laurent matrix at unit values of the variables mod p."""
-    return np.array([[specialize(e, values, field).value for e in m.row(r)]
-                     for r in range(m.rows)], dtype=dtype)
+    out = np.zeros((m.rows, m.cols), dtype=dtype)
+    for k, e in enumerate(m.entries):
+        if not e.is_zero():
+            out[divmod(k, m.cols)] = specialize(e, values, field).value
+    return out
+
+
+def _field_dtype(d, p):
+    """int64 while a product entry, at most d*(p-1)^2, stays below 2^63."""
+    return np.int64 if d * (p - 1) ** 2 < 2 ** 63 else object
 
 
 def _mod_inverse_matrix(a, p):
@@ -368,7 +376,7 @@ def irreducibility_probe(rep, p=10007, trials=5, seed=0):
     field = PrimeField(p)
     rng = random.Random(seed)
     d = rep.dim
-    dtype = np.int64 if d * (p - 1) ** 2 < 2 ** 63 else object
+    dtype = _field_dtype(d, p)
     best = 0
     for trial in range(1, trials + 1):
         values = {v: rng.randrange(1, p) for v in rep.ring.variables}
@@ -425,10 +433,50 @@ def kernel_words():
     return {"sigma": sigma, "tau": tau, "xi": xi, "upsilon": upsilon}
 
 
+# The witness prime 2^28 + 3: the int64 products of _identity_verdict stay
+# exact up to dimension 127.
+WITNESS_PRIME = 268435459
+
+
+def _identity_verdict(rep, word):
+    """Whether rep(word) is the identity, and how that was settled.
+
+    Specialising every variable at a unit point mod p is a ring
+    homomorphism, so a product that is not I mod p proves the exact
+    product is not I; the method is then {"p": p, "point": {var: value}},
+    enough to recheck it.  A product equal to I mod p may still hide a
+    nonzero exact difference (its chance is at most degree/p by
+    Schwartz-Zippel), so that case is settled by exact evaluation and the
+    method is "exact": an identity verdict never rests on modular
+    arithmetic.
+    """
+    p = WITNESS_PRIME
+    rng = random.Random(0)  # a fixed point, so reports repeat exactly
+    point = {v: rng.randrange(2, p - 1) for v in rep.ring.variables}
+    field = PrimeField(p)
+    dtype = _field_dtype(rep.dim, p)
+    gens = {lt: _specialize_matrix_mod_p(rep.letter_image(lt), field, point, dtype)
+            for lt in set(word.letters)}
+    eye = np.eye(rep.dim, dtype=dtype)
+    prod = eye
+    for lt in word.letters:
+        prod = (prod @ gens[lt]) % p
+    if not np.array_equal(prod, eye):
+        return False, {"p": p, "point": point}
+    return rep.evaluate(word).is_identity(), "exact"
+
+
 def kernel_experiment(words=None):
     """Evaluate the kernel words in Burau, lm(TYM) and shifted lm_q(TYM).
 
-    Returns, per word, whether each of the three images is the identity.
+    Returns, per word, whether each of the three images is the identity
+    (keys burau_identity, lm_identity, t1lm_identity) and under "method"
+    how each verdict was settled.  Every identity verdict is exact
+    ("exact"); a non-identity verdict is a modular certificate
+    {"p": p, "point": {var: value}}: the product of the generator images
+    specialised at that point mod p is not the identity, which cannot
+    happen for an identity.  A non-identity verdict is exact only when the
+    modular product happens to be I.
     """
     if words is None:
         words = kernel_words()
@@ -444,13 +492,14 @@ def kernel_experiment(words=None):
                 lm_apply(make_tym(n + 1, tctx)),
                 lm_q(make_tym(n + 2, tqctx)),
             )
-        bur, lm, t1lm = cache[n]
-        results[name] = {
-            "n": n,
-            "burau_identity": bur.evaluate(w).is_identity(),
-            "lm_identity": lm.evaluate(w).is_identity(),
-            "t1lm_identity": t1lm.evaluate(w.shift(1)).is_identity(),
-        }
+        report = {"n": n}
+        method = {}
+        for key, rep, word in zip(
+                ("burau_identity", "lm_identity", "t1lm_identity"),
+                cache[n], (w, w, w.shift(1))):
+            report[key], method[key] = _identity_verdict(rep, word)
+        report["method"] = method
+        results[name] = report
     return results
 
 

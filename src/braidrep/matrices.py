@@ -216,7 +216,8 @@ class RingMatrix:
                           [a - b for a, b in zip(self.entries, other.entries)])
 
     def scale(self, s):
-        return RingMatrix(self.ring, self.rows, self.cols, [s * e for e in self.entries])
+        return RingMatrix(self.ring, self.rows, self.cols,
+                          [e if e.is_zero() else s * e for e in self.entries])
 
     def __pow__(self, k):
         if not self.is_square():
@@ -232,10 +233,6 @@ class RingMatrix:
             base = base * base
             k >>= 1
         return result
-
-    def transpose(self):
-        return RingMatrix(self.ring, self.cols, self.rows,
-                          [self[i, j] for j in range(self.cols) for i in range(self.rows)])
 
     def is_monomial(self):
         """Exactly one nonzero unit entry per row and per column."""

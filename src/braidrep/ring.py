@@ -355,6 +355,38 @@ def _product_bound(a, b):
     return worst
 
 
+# Miller-Rabin with the first 13 prime bases decides primality exactly for
+# every n below this bound (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin; ValueError for n at or above _MR_BOUND."""
+    if n >= _MR_BOUND:
+        raise ValueError("modulus too large to certify prime")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """The field Z/pZ for a prime p.  Acts as a ring context for matrices."""
 
@@ -362,7 +394,7 @@ class PrimeField:
 
     def __init__(self, p):
         p = int(p)
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if not _is_prime(p):
             raise ValueError("modulus %d is not prime" % p)
         self.p = p
 

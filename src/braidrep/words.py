@@ -122,6 +122,8 @@ class BraidWord:
                     header = int(line[2:])
                 except ValueError:
                     raise WordParseError("line %d: bad strand count %r" % (lineno, line[2:]))
+                if header < 1:
+                    raise WordParseError("line %d: strand count %d is below 1" % (lineno, header))
             else:
                 body.extend((lineno, tok) for tok in line.split())
         if header is None:

@@ -160,3 +160,31 @@ def test_lm_irreducible_rejects_composite_prime(capsys):
     status, _, err = run(capsys, "lm", "irreducible", "--rep", "burau3", "--prime", "10005")
     assert status == 1
     assert "10005" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--rep", "tym"),
+    ("invariant", "--mode", "multi"),
+    ("linking",),
+])
+@pytest.mark.parametrize("header", ["n=-2", "n=0"])
+def test_strand_count_below_one_is_a_parse_error(tmp_path, capsys, argv, header):
+    word = write(tmp_path, "w.braid", header + "\n")
+    status, out, err = run(capsys, *argv, "--word", word)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error:") and "strand count" in err and "Traceback" not in err
+
+
+def test_lm_kernel_words_reports_the_method_of_every_verdict(capsys):
+    status, out, _ = run(capsys, "--format", "json", "lm", "kernel-words")
+    assert status == 0
+    report = json.loads(out)
+    assert set(report) == {"sigma", "tau", "xi", "upsilon"}
+    keys = {"burau_identity", "lm_identity", "t1lm_identity"}
+    for r in report.values():
+        assert set(r["method"]) == keys
+        for key in keys:
+            m = r["method"][key]
+            # identity verdicts are exact; a modular method is a certificate
+            assert m == "exact" or (not r[key] and set(m) == {"p", "point"})

@@ -1,16 +1,18 @@
 import random
 
+import numpy as np
 import pytest
 
 from braidrep import golden
-from braidrep.longmoody import (block_formula_lm_q_tym, check_semidirect,
+from braidrep.longmoody import (WITNESS_PRIME, _identity_verdict,
+                                block_formula_lm_q_tym, check_semidirect,
                                 decompose_check, identify_trivial_burau,
                                 intertwining_check, irreducibility_probe,
-                                kernel_words, lm_apply, lm_q, lm_semidirect,
-                                make_eta, reduced_lm3, SemidirectRep)
+                                kernel_experiment, kernel_words, lm_apply, lm_q,
+                                lm_semidirect, make_eta, reduced_lm3, SemidirectRep)
 from braidrep.matrices import RingMatrix, direct_sum
 from braidrep.reps import make_burau, make_one_dim, make_tym
-from braidrep.ring import RingContext, specialize
+from braidrep.ring import PrimeField, RingContext, specialize
 from braidrep.words import BraidWord
 
 TQ = RingContext(("t", "q"))
@@ -197,3 +199,56 @@ def test_shifted_kernel_containment_randomized():
         w = BraidWord(2, letters)
         if t1lm.evaluate(w.shift(1)).is_identity():
             assert bur.evaluate(w).is_identity()
+
+
+def test_identity_verdict_falls_back_to_exact_evaluation():
+    # by Fermat t^(P-1) is 1 at every unit point mod P, but not exactly 1
+    t = RingContext(("t",)).var("t")
+    rep = make_one_dim(2, t ** (WITNESS_PRIME - 1))
+    assert _identity_verdict(rep, BraidWord.sigma(2, 1)) == (False, "exact")
+    assert _identity_verdict(rep, BraidWord(2)) == (True, "exact")
+
+
+def tau_reps():
+    tau = kernel_words()["tau"]
+    tctx = RingContext(("t",))
+    return [(make_burau(6, tctx.var("t")), tau),
+            (lm_apply(make_tym(7, tctx)), tau),
+            (lm_q(make_tym(8, TQ)), tau.shift(1))]
+
+
+def test_identity_verdicts_agree_with_exact_evaluation_on_tau():
+    methods = []
+    for rep, word in tau_reps():
+        verdict, method = _identity_verdict(rep, word)
+        assert verdict == rep.evaluate(word).is_identity()
+        assert method == "exact" or not verdict
+        methods.append(method)
+    assert methods[:2] == ["exact", "exact"]
+    assert methods[2]["p"] == WITNESS_PRIME
+    assert set(methods[2]["point"]) == {"t", "q"}
+
+
+def test_modular_certificate_rechecks():
+    rep, word = tau_reps()[2]
+    verdict, method = _identity_verdict(rep, word)
+    assert verdict is False
+    p, point = method["p"], method["point"]
+    field = PrimeField(p)
+    d = rep.dim
+    assert d * (p - 1) ** 2 < 2 ** 63
+
+    def image(lt):
+        m = rep.letter_image(lt)
+        return np.array([[specialize(m[r, c], point, field).value for c in range(d)]
+                         for r in range(d)], dtype=np.int64)
+
+    prod = np.eye(d, dtype=np.int64)
+    for lt in word.letters:
+        prod = prod @ image(lt) % p
+    assert not np.array_equal(prod, np.eye(d, dtype=np.int64))
+
+
+def test_kernel_experiment_is_deterministic():
+    words = {"tau": kernel_words()["tau"]}
+    assert kernel_experiment(words) == kernel_experiment(words)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +117,35 @@ def test_prime_field_inverse():
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         PrimeField(15)
+
+
+def test_prime_field_agrees_with_trial_division():
+    for n in range(-2, 10 ** 4):
+        prime = n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+        if prime:
+            assert PrimeField(n).p == n
+        else:
+            with pytest.raises(ValueError, match="not prime"):
+                PrimeField(n)
+
+
+def test_prime_field_certifies_a_61_bit_prime_quickly():
+    start = time.perf_counter()
+    PrimeField(2 ** 61 - 1)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("n", [561, 3215031751, 318665857834031151167461])
+def test_prime_field_rejects_pseudoprimes(n):
+    # 561 is a Carmichael number, 3215031751 a strong pseudoprime to the
+    # bases 2, 3, 5 and 7, and the last one to every prime base up to 37
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(n)
+
+
+def test_prime_field_refuses_moduli_it_cannot_certify():
+    with pytest.raises(ValueError, match="too large to certify"):
+        PrimeField(2 ** 127 - 1)
 
 
 monomials = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
