@@ -46,30 +46,29 @@ def _expand_brackets(tokens):
                 out.append(str(-int(tok)))
         return out
 
-    def parse_seq(pos, stop):
-        out = []
-        while pos < len(tokens) and tokens[pos] not in stop:
-            tok = tokens[pos]
-            if tok == "[":
-                a, pos = parse_seq(pos + 1, {","})
-                if pos >= len(tokens):
-                    raise CliError("unterminated commutator", 2)
-                b, pos = parse_seq(pos + 1, {"]"})
-                if pos >= len(tokens):
-                    raise CliError("unterminated commutator", 2)
-                pos += 1
+    # one frame per open bracket: [sequence around it, A once its comma is read]
+    stack = []
+    out = []
+    for tok in tokens:
+        stop = None if not stack else "," if stack[-1][1] is None else "]"
+        if tok == stop:
+            frame = stack[-1]
+            if frame[1] is None:
+                frame[1], out = out, []
+                continue
+            stack.pop()
+            a, b, out = frame[1], out, frame[0]
+            try:
                 out.extend(invert(a) + invert(b) + a + b)
-            else:
-                out.append(tok)
-                pos += 1
-        return out, pos
-
-    try:
-        out, pos = parse_seq(0, set())
-    except ValueError:
-        raise CliError("bad token inside commutator", 2)
-    if pos != len(tokens):
-        raise CliError("unbalanced brackets in word file", 2)
+            except ValueError:
+                raise CliError("bad token inside commutator", 2)
+        elif tok == "[":
+            stack.append([out, None])
+            out = []
+        else:
+            out.append(tok)
+    if stack:
+        raise CliError("unterminated commutator", 2)
     return out
 
 

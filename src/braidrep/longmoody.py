@@ -12,92 +12,34 @@ from .words import (BraidWord, FreeWord, artin_action, chi, commutator,
                     fox_derivative)
 
 
-def _rho_group_ring(rho, elem):
-    """Linear extension of rho o chi over a group ring element."""
-    ring = rho.ring
-    out = RingMatrix.zeros(ring, rho.dim, rho.dim)
-    for w, c in elem.terms.items():
-        out = out + rho.evaluate(chi(w)).scale(ring.const(c))
-    return out
-
-
-def _lm_letter(rho, letter):
-    """Long-Moody image of a single braid letter, as an n*d square matrix."""
-    n = rho.n - 1
-    d = rho.dim
-    ring = rho.ring
-    lam = BraidWord(n, [letter])
-    images = artin_action(lam)
-    outer = rho.evaluate(lam.shift(1))
-    blocks = {}
-    for k in range(1, n + 1):
-        target = images[k - 1]
-        for j in range(1, n + 1):
-            dj = fox_derivative(target, j)
-            if dj.is_zero():
-                continue
-            blocks[(j, k)] = _rho_group_ring(rho, dj) * outer
-    entries = {}
+def _from_blocks(ring, d, n, blocks):
+    """The n*d square matrix with d x d blocks {(j, k): block} (0-based), zero elsewhere."""
+    size = n * d
+    flat = [ring.zero()] * (size * size)
     for (j, k), b in blocks.items():
         for r in range(d):
-            for c in range(d):
-                v = b[r, c]
-                if not v.is_zero():
-                    entries[((j - 1) * d + r, (k - 1) * d + c)] = v
-    return RingMatrix.from_entries_dict(ring, n * d, entries)
-
-
-def lm_apply(rho):
-    """Turn a representation of B_{n+1} into one of B_n of dimension n*d.
-
-    The underlying space is indexed by pairs (j, k): j picks a free-group
-    generator, k a coordinate of the source representation.
-    """
-    n = rho.n - 1
-    if n < 2:
-        raise ValueError("source representation must have at least 3 strands")
-    sig = {i: _lm_letter(rho, ("s", i, 1)) for i in range(1, n)}
-    sig_inv = {i: _lm_letter(rho, ("s", i, -1)) for i in range(1, n)}
-    return GenRep(n, n * rho.dim, rho.ring, sig, sig_inv,
-                  name="lm(%s)" % rho.name)
-
-
-def lm_q(rho):
-    """The q-twisted Long-Moody construction: q^{-1} * lm(q tensor rho)."""
-    ring = rho.ring
-    if "q" not in ring.variables:
-        raise ValueError("ring context must contain q")
-    q = ring.var("q")
-    lm = lm_apply(tensor_one_dim(rho, q))
-    qinv = q.inverse()
-    sig = {i: m.scale(qinv) for i, m in lm.sigma_images.items()}
-    sig_inv = {i: m.scale(q) for i, m in lm.sigma_inv_images.items()}
-    return GenRep(lm.n, lm.dim, ring, sig, sig_inv, name="lm_q(%s)" % rho.name)
+            at = (j * d + r) * size + k * d
+            flat[at:at + d] = b.row(r)
+    return RingMatrix(ring, size, size, flat)
 
 
 class SemidirectRep:
-    """A representation of F_n x| B_n by images of sigma_i and x_i."""
+    """A representation of F_n x| B_n by images of sigma_i and x_i.
 
-    __slots__ = ("n", "dim", "ring", "sigma_images", "sigma_inv_images",
-                 "x_images", "x_inv_images", "name")
+    The braid images are held as a GenRep in `braid`.
+    """
+
+    __slots__ = ("n", "dim", "ring", "braid", "x_images", "x_inv_images", "name")
 
     def __init__(self, n, dim, ring, sigma_images, sigma_inv_images,
                  x_images, x_inv_images, name=""):
         self.n = n
         self.dim = dim
         self.ring = ring
-        self.sigma_images = dict(sigma_images)
-        self.sigma_inv_images = dict(sigma_inv_images)
+        self.braid = GenRep(n, dim, ring, sigma_images, sigma_inv_images, name=name)
         self.x_images = dict(x_images)
         self.x_inv_images = dict(x_inv_images)
         self.name = name
-
-    def sigma(self, word):
-        out = RingMatrix.identity(self.ring, self.dim)
-        for lt in word.letters:
-            out = out * (self.sigma_images[lt[1]] if lt[2] > 0
-                         else self.sigma_inv_images[lt[1]])
-        return out
 
     def x_word(self, w):
         out = RingMatrix.identity(self.ring, self.dim)
@@ -106,10 +48,74 @@ class SemidirectRep:
         return out
 
     def x_group_ring(self, elem):
-        out = RingMatrix.zeros(self.ring, self.dim, self.dim)
+        """Linear extension of the x images over a group ring element."""
+        out = None
         for w, c in elem.terms.items():
-            out = out + self.x_word(w).scale(self.ring.const(c))
-        return out
+            m = self.x_word(w)
+            if c != 1:
+                m = m.scale(self.ring.const(c))
+            out = m if out is None else out + m
+        return out if out is not None else RingMatrix.zeros(self.ring, self.dim, self.dim)
+
+
+def _assemble(eta, name):
+    """The Long-Moody construction on eta, a representation of B_n of dimension n*d.
+
+    Block (j, k) of the image of a letter lam is
+    eta_x(D_j a(lam)(x_k)) * eta(lam): the Fox derivative of the Artin
+    image, extended linearly over the x images, times the braid image.
+    """
+    n, d = eta.n, eta.dim
+
+    def image(letter):
+        outer = eta.braid.letter_image(letter)
+        blocks = {}
+        for k, target in enumerate(artin_action(BraidWord(n, [letter]))):
+            for j in range(1, n + 1):
+                dj = fox_derivative(target, j)
+                if not dj.is_zero():
+                    blocks[(j - 1, k)] = eta.x_group_ring(dj) * outer
+        return _from_blocks(eta.ring, d, n, blocks)
+
+    sig = {i: image(("s", i, 1)) for i in range(1, n)}
+    sig_inv = {i: image(("s", i, -1)) for i in range(1, n)}
+    return GenRep(n, n * d, eta.ring, sig, sig_inv, name=name)
+
+
+def _semidirect_pair(rho):
+    """The rep of F_n x| B_n given by sigma_i -> rho(sigma_{i+1}), x_j -> rho(chi(x_j))."""
+    n = rho.n - 1
+    chis = {j: chi(FreeWord.gen(n, j)) for j in range(1, n + 1)}
+    return SemidirectRep(
+        n, rho.dim, rho.ring,
+        {i: rho.sigma_images[i + 1] for i in range(1, n)},
+        {i: rho.sigma_inv_images[i + 1] for i in range(1, n)},
+        {j: rho.evaluate(w) for j, w in chis.items()},
+        {j: rho.evaluate(w.inverse()) for j, w in chis.items()},
+        name=rho.name)
+
+
+def lm_apply(rho):
+    """Turn a representation of B_{n+1} into one of B_n of dimension n*d.
+
+    This is the semidirect construction on sigma_i -> rho(sigma_{i+1}),
+    x_j -> rho(chi(x_j)).  The underlying space is indexed by pairs
+    (j, k): j picks a free-group generator, k a coordinate of rho.
+    """
+    if rho.n < 3:
+        raise ValueError("source representation must have at least 3 strands")
+    return _assemble(_semidirect_pair(rho), "lm(%s)" % rho.name)
+
+
+def lm_q(rho):
+    """The q-twisted Long-Moody construction: q^{-1} * lm(q tensor rho)."""
+    ring = rho.ring
+    if "q" not in ring.variables:
+        raise ValueError("ring context must contain q")
+    q = ring.var("q")
+    rep = tensor_one_dim(lm_apply(tensor_one_dim(rho, q)), q.inverse())
+    rep.name = "lm_q(%s)" % rho.name
+    return rep
 
 
 def make_eta(n, ctx=None):
@@ -129,18 +135,15 @@ def make_eta(n, ctx=None):
 
 
 def check_semidirect(eta):
-    """Verify sigma * x_j * sigma^{-1} = image of the Artin twist of x_j."""
-    n = eta.n
+    """Pairs (i, j) where sigma_i * x_j = x(a(sigma_i)(x_j)) * sigma_i fails.
+
+    This is the relation that makes the construction on eta well defined.
+    """
     bad = []
-    for i in range(1, n):
-        w = BraidWord.sigma(n, i)
-        s = eta.sigma(w)
-        s_inv = eta.sigma(w.inverse())
-        twisted = artin_action(w)
-        for j in range(1, n + 1):
-            lhs = s * eta.x_images[j] * s_inv
-            rhs = eta.x_word(twisted[j - 1])
-            if lhs != rhs:
+    for i in range(1, eta.n):
+        s = eta.braid.letter_image(("s", i, 1))
+        for j, twisted in enumerate(artin_action(BraidWord.sigma(eta.n, i)), 1):
+            if s * eta.x_images[j] != eta.x_word(twisted) * s:
                 bad.append((i, j))
     return bad
 
@@ -151,45 +154,19 @@ def lm_semidirect(eta, q_twist=False):
     With q_twist the sigma and x images are first scaled by q and the
     result by q^{-1}, the same normalization as lm_q.
     """
-    n = eta.n
-    d = eta.dim
-    ring = eta.ring
-    if q_twist:
-        q = ring.var("q")
-        qinv = q.inverse()
-        eta = SemidirectRep(
-            n, d, ring,
-            {i: m.scale(q) for i, m in eta.sigma_images.items()},
-            {i: m.scale(qinv) for i, m in eta.sigma_inv_images.items()},
-            {i: m.scale(q) for i, m in eta.x_images.items()},
-            {i: m.scale(qinv) for i, m in eta.x_inv_images.items()},
-            name=eta.name)
-
-    def letter_image(letter):
-        lam = BraidWord(n, [letter])
-        images = artin_action(lam)
-        outer = eta.sigma(lam)
-        entries = {}
-        for k in range(1, n + 1):
-            for j in range(1, n + 1):
-                dj = fox_derivative(images[k - 1], j)
-                if dj.is_zero():
-                    continue
-                b = eta.x_group_ring(dj) * outer
-                for r in range(d):
-                    for c in range(d):
-                        v = b[r, c]
-                        if not v.is_zero():
-                            entries[((j - 1) * d + r, (k - 1) * d + c)] = v
-        return RingMatrix.from_entries_dict(ring, n * d, entries)
-
-    sig = {i: letter_image(("s", i, 1)) for i in range(1, n)}
-    sig_inv = {i: letter_image(("s", i, -1)) for i in range(1, n)}
-    if q_twist:
-        sig = {i: m.scale(qinv) for i, m in sig.items()}
-        sig_inv = {i: m.scale(q) for i, m in sig_inv.items()}
-    return GenRep(n, n * d, ring, sig, sig_inv,
-                  name="lm_sd(%s%s)" % (eta.name, ",q" if q_twist else ""))
+    name = "lm_sd(%s%s)" % (eta.name, ",q" if q_twist else "")
+    if not q_twist:
+        return _assemble(eta, name)
+    q = eta.ring.var("q")
+    qinv = q.inverse()
+    braid = tensor_one_dim(eta.braid, q)
+    eta = SemidirectRep(
+        eta.n, eta.dim, eta.ring, braid.sigma_images, braid.sigma_inv_images,
+        {j: m.scale(q) for j, m in eta.x_images.items()},
+        {j: m.scale(qinv) for j, m in eta.x_inv_images.items()})
+    rep = tensor_one_dim(_assemble(eta, name), qinv)
+    rep.name = name
+    return rep
 
 
 def reduced_lm3():
@@ -282,22 +259,9 @@ def block_formula_lm_q_tym(n, i):
     ni = RingMatrix.from_entries_dict(
         ring, d, {(k, k): (q2 * t if k in (0, i) else q2) for k in range(d)})
     ident = RingMatrix.identity(ring, d)
-    zero = RingMatrix.zeros(ring, d, d)
-    blocks = {}
-    for j in range(n):
-        blocks[(j, j)] = ident
-    blocks[(i - 1, i - 1)] = zero
-    blocks[(i - 1, i)] = mi
-    blocks[(i, i - 1)] = ident
-    blocks[(i, i)] = ident - ni
-    entries = {}
-    for (bj, bk), b in blocks.items():
-        for r in range(d):
-            for c in range(d):
-                v = b[r, c]
-                if not v.is_zero():
-                    entries[(bj * d + r, bk * d + c)] = v
-    left = RingMatrix.from_entries_dict(ring, n * d, entries)
+    blocks = {(j, j): ident for j in range(n) if j not in (i - 1, i)}
+    blocks.update({(i - 1, i): mi, (i, i - 1): ident, (i, i): ident - ni})
+    left = _from_blocks(ring, d, n, blocks)
     right = direct_sum([sfac] * n, ring=ring)
     return left * right
 
@@ -504,20 +468,10 @@ def kernel_experiment(words=None):
 
 
 def intertwining_check(rho):
-    """Matrix form of the relation making the construction well defined.
+    """Matrix form of the relation making lm(rho) well defined.
 
     For every generator sigma_i and free generator x_j:
-    rho(shift(sigma_i)) rho(chi(x_j)) = rho(chi(a(sigma_i)(x_j))) rho(shift(sigma_i)).
+    rho(shift(sigma_i)) rho(chi(x_j)) = rho(chi(a(sigma_i)(x_j))) rho(shift(sigma_i)),
+    the check_semidirect relation of the pair lm_apply builds on.
     """
-    n = rho.n - 1
-    bad = []
-    for i in range(1, n):
-        lam = BraidWord.sigma(n, i)
-        outer = rho.evaluate(lam.shift(1))
-        images = artin_action(lam)
-        for j in range(1, n + 1):
-            lhs = outer * rho.evaluate(chi(FreeWord.gen(n, j)))
-            rhs = rho.evaluate(chi(images[j - 1])) * outer
-            if lhs != rhs:
-                bad.append((i, j))
-    return bad
+    return check_semidirect(_semidirect_pair(rho))

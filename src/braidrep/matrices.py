@@ -1,12 +1,12 @@
-"""Dense matrices over a commutative ring scalar, plus permutations.
+"""Dense matrices over a Laurent ring, plus permutations.
 
-Scalars are LaurentPoly or PrimeFieldScalar values; the `ring` of a matrix
-is the corresponding RingContext or PrimeField.  Matrices are immutable
-and all operations return fresh values.
+The `ring` of a matrix is a RingContext and its entries are LaurentPoly
+values of that context.  Matrices are immutable and all operations
+return fresh values.
 """
 from __future__ import annotations
 
-from .ring import (EXP_MAX, ContextMismatch, LaurentPoly, NotAUnit, RingContext,
+from .ring import (EXP_MAX, ContextMismatch, LaurentPoly, NotAUnit,
                    _product_bound, _row_products, specialize)
 
 
@@ -161,11 +161,6 @@ class RingMatrix:
             raise ShapeMismatch("%dx%d times %dx%d" % (self.rows, self.cols, other.rows, other.cols))
         if self.ring != other.ring:
             raise ContextMismatch("matrices over different rings")
-        if isinstance(self.ring, RingContext):
-            return self._mul_laurent(other)
-        return self._mul_generic(other)
-
-    def _mul_laurent(self, other):
         ctx = self.ring
         n, m, l = self.rows, self.cols, other.cols
         brows = [other.entries[j * l:(j + 1) * l] for j in range(m)]
@@ -183,20 +178,6 @@ class RingMatrix:
                             default=0)
             flat.extend(raw(ctx, d, bound) if d else zero
                         for d in _row_products([a.terms for a in arow], bterms, l))
-        return RingMatrix(self.ring, n, l, flat)
-
-    def _mul_generic(self, other):
-        n, m, l = self.rows, self.cols, other.cols
-        flat = []
-        for i in range(n):
-            for k in range(l):
-                acc = self.ring.zero()
-                for j in range(m):
-                    a = self.entries[i * m + j]
-                    if a.is_zero():
-                        continue
-                    acc = acc + a * other.entries[j * l + k]
-                flat.append(acc)
         return RingMatrix(self.ring, n, l, flat)
 
     def __add__(self, other):
@@ -351,8 +332,6 @@ class RingMatrix:
         whose index sets all equal {1..perm.size}.
         """
         ctx = self.ring
-        if not isinstance(ctx, RingContext):
-            raise ContextMismatch("variable twist needs a Laurent context")
         fams = ctx.families()
         by_family = {}
         for v, (fam, idx) in fams.items():

@@ -58,6 +58,20 @@ def test_commutator_expansion(tmp_path, capsys):
     _, out1, _ = run(capsys, "eval", "--rep", "tym", "--word", plain)
     _, out2, _ = run(capsys, "eval", "--rep", "tym", "--word", bracket)
     assert out1 == out2
+    plain = write(tmp_path, "c.braid", "n=3\n-1 -1 -2 1 2 1 -2 -1 2 1\n")
+    nested = write(tmp_path, "d.braid", "n=3\n[1, [2, 1]]\n")
+    _, out1, _ = run(capsys, "eval", "--rep", "tym", "--word", plain)
+    _, out2, _ = run(capsys, "eval", "--rep", "tym", "--word", nested)
+    assert out1 == out2
+
+
+@pytest.mark.parametrize("depth", [50, 3000])
+def test_unterminated_commutator_at_any_depth(tmp_path, capsys, depth):
+    word = write(tmp_path, "w.braid", "n=3\n" + "[" * depth + "1 , 2\n")
+    status, out, err = run(capsys, "eval", "--rep", "tym", "--word", word)
+    assert status == 2
+    assert out == ""
+    assert err == "error: unterminated commutator\n"
 
 
 def test_linking_json(tmp_path, capsys):

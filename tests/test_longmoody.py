@@ -11,7 +11,7 @@ from braidrep.longmoody import (WITNESS_PRIME, _identity_verdict,
                                 kernel_experiment, kernel_words, lm_apply, lm_q,
                                 lm_semidirect, make_eta, reduced_lm3, SemidirectRep)
 from braidrep.matrices import RingMatrix, direct_sum
-from braidrep.reps import make_burau, make_one_dim, make_tym
+from braidrep.reps import GenRep, make_burau, make_one_dim, make_tym
 from braidrep.ring import PrimeField, RingContext, specialize
 from braidrep.words import BraidWord
 
@@ -175,6 +175,29 @@ def test_irreducibility_probe_negative_controls():
 def test_intertwining_small():
     assert intertwining_check(make_tym(4)) == []
     assert intertwining_check(make_burau(4, RingContext(("t",)).var("t"))) == []
+
+
+def test_intertwining_check_names_the_failing_pairs():
+    tym = make_tym(4)
+    sig = dict(tym.sigma_images)
+    sig[2] = tym.sigma_images[1]
+    broken = GenRep(4, 4, tym.ring, sig, tym.sigma_inv_images)
+    assert intertwining_check(broken) == [(1, 2), (1, 3), (2, 2), (2, 3)]
+    sig_inv = dict(tym.sigma_inv_images)
+    sig_inv[2] = tym.sigma_inv_images[1]
+    broken = GenRep(4, 4, tym.ring, sig, sig_inv)
+    assert intertwining_check(broken) == [(2, 2), (2, 3)]
+
+
+def test_check_semidirect_names_the_failing_pairs():
+    eta = make_eta(3)
+    tym = make_tym(3, eta.ring)
+    x = dict(eta.x_images)
+    x_inv = dict(eta.x_inv_images)
+    x[1], x_inv[1] = x[2], x_inv[2]
+    broken = SemidirectRep(3, 3, eta.ring, tym.sigma_images, tym.sigma_inv_images,
+                           x, x_inv)
+    assert check_semidirect(broken) == [(1, 1), (1, 2), (2, 1)]
 
 
 def test_kernel_word_shapes():
