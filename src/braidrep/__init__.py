@@ -2,8 +2,7 @@
 Long-Moody construction."""
 
 from .ring import (ContextMismatch, LaurentPoly, NotAUnit, PolyParseError,
-                   PrimeField, PrimeFieldScalar, RingContext, embed,
-                   poly_render, specialize)
+                   PrimeField, RingContext, embed, poly_render, specialize)
 from .matrices import Permutation, RingMatrix, ShapeMismatch, direct_sum
 from .words import (BraidWord, FreeWord, GroupRingElement, LinkingProfile,
                     WordParseError, artin_action, chi, commutator,

@@ -6,7 +6,7 @@ import random
 import numpy as np
 
 from .matrices import Permutation, RingMatrix, direct_sum
-from .reps import GenRep, make_burau, make_one_dim, make_tym, tensor_one_dim
+from .reps import GenRep, make_burau, make_one_dim, make_tym
 from .ring import PrimeField, RingContext, specialize
 from .words import (BraidWord, FreeWord, artin_action, chi, commutator,
                     fox_derivative)
@@ -42,10 +42,11 @@ class SemidirectRep:
         self.name = name
 
     def x_word(self, w):
-        out = RingMatrix.identity(self.ring, self.dim)
+        out = None
         for g, s in w.letters:
-            out = out * (self.x_images[g] if s > 0 else self.x_inv_images[g])
-        return out
+            m = self.x_images[g] if s > 0 else self.x_inv_images[g]
+            out = m if out is None else out * m
+        return out if out is not None else RingMatrix.identity(self.ring, self.dim)
 
     def x_group_ring(self, elem):
         """Linear extension of the x images over a group ring element."""
@@ -82,6 +83,16 @@ def _assemble(eta, name):
     return GenRep(n, n * d, eta.ring, sig, sig_inv, name=name)
 
 
+def _scale_x(eta, s):
+    """eta with every x image scaled by the unit s and every x inverse image by s^{-1}."""
+    sinv = s.inverse()
+    return SemidirectRep(
+        eta.n, eta.dim, eta.ring, eta.braid.sigma_images, eta.braid.sigma_inv_images,
+        {j: m.scale(s) for j, m in eta.x_images.items()},
+        {j: m.scale(sinv) for j, m in eta.x_inv_images.items()},
+        name=eta.name)
+
+
 def _semidirect_pair(rho):
     """The rep of F_n x| B_n given by sigma_i -> rho(sigma_{i+1}), x_j -> rho(chi(x_j))."""
     n = rho.n - 1
@@ -108,14 +119,19 @@ def lm_apply(rho):
 
 
 def lm_q(rho):
-    """The q-twisted Long-Moody construction: q^{-1} * lm(q tensor rho)."""
+    """The q-twisted Long-Moody construction: q^{-1} * lm(q tensor rho).
+
+    The q of the braid images cancels against the q^{-1}, so this is the
+    construction on the pair of lm_apply with the x images scaled by q^2
+    (chi(x_j) has exponent sum 2).
+    """
     ring = rho.ring
     if "q" not in ring.variables:
         raise ValueError("ring context must contain q")
+    if rho.n < 3:
+        raise ValueError("source representation must have at least 3 strands")
     q = ring.var("q")
-    rep = tensor_one_dim(lm_apply(tensor_one_dim(rho, q)), q.inverse())
-    rep.name = "lm_q(%s)" % rho.name
-    return rep
+    return _assemble(_scale_x(_semidirect_pair(rho), q * q), "lm_q(%s)" % rho.name)
 
 
 def make_eta(n, ctx=None):
@@ -152,21 +168,13 @@ def lm_semidirect(eta, q_twist=False):
     """Long-Moody construction from a semidirect representation.
 
     With q_twist the sigma and x images are first scaled by q and the
-    result by q^{-1}, the same normalization as lm_q.
+    result by q^{-1}, the same normalization as lm_q.  The two scalings of
+    the braid images cancel, so only the x images are scaled.
     """
     name = "lm_sd(%s%s)" % (eta.name, ",q" if q_twist else "")
-    if not q_twist:
-        return _assemble(eta, name)
-    q = eta.ring.var("q")
-    qinv = q.inverse()
-    braid = tensor_one_dim(eta.braid, q)
-    eta = SemidirectRep(
-        eta.n, eta.dim, eta.ring, braid.sigma_images, braid.sigma_inv_images,
-        {j: m.scale(q) for j, m in eta.x_images.items()},
-        {j: m.scale(qinv) for j, m in eta.x_inv_images.items()})
-    rep = tensor_one_dim(_assemble(eta, name), qinv)
-    rep.name = name
-    return rep
+    if q_twist:
+        eta = _scale_x(eta, eta.ring.var("q"))
+    return _assemble(eta, name)
 
 
 def reduced_lm3():
@@ -271,35 +279,13 @@ def _specialize_matrix_mod_p(m, field, values, dtype):
     out = np.zeros((m.rows, m.cols), dtype=dtype)
     for k, e in enumerate(m.entries):
         if not e.is_zero():
-            out[divmod(k, m.cols)] = specialize(e, values, field).value
+            out[divmod(k, m.cols)] = specialize(e, values, field)
     return out
 
 
 def _field_dtype(d, p):
     """int64 while a product entry, at most d*(p-1)^2, stays below 2^63."""
     return np.int64 if d * (p - 1) ** 2 < 2 ** 63 else object
-
-
-def _mod_inverse_matrix(a, p):
-    """Inverse of an integer matrix mod p by Gaussian elimination, or None."""
-    d = a.shape[0]
-    aug = np.concatenate([a % p, np.eye(d, dtype=a.dtype)], axis=1)
-    for col in range(d):
-        piv = None
-        for r in range(col, d):
-            if aug[r, col] % p:
-                piv = r
-                break
-        if piv is None:
-            return None
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        inv = pow(int(aug[col, col]), -1, p)
-        aug[col] = (aug[col] * inv) % p
-        for r in range(d):
-            if r != col and aug[r, col]:
-                aug[r] = (aug[r] - aug[r, col] * aug[col]) % p
-    return aug[:, d:]
 
 
 class _SpanBasis:
@@ -331,32 +317,33 @@ def irreducibility_probe(rep, p=10007, trials=5, seed=0):
     """Burnside span probe at random prime-field specializations.
 
     A trial specializes every variable to a random nonzero value mod p and
-    closes the span of words in the generator images under multiplication.
-    Reaching dimension d*d in any trial certifies that no proper invariant
-    subspace can exist generically.  `p` must be prime (ValueError
-    otherwise).  Arithmetic is on int64 while a matrix product entry,
-    at most d*(p-1)^2, stays below 2^63, and on exact Python integers above.
+    closes the span of words in the generator images and their inverses
+    under multiplication.  Reaching dimension d*d in any trial certifies
+    that no proper invariant subspace can exist generically.  The inverses
+    are the representation's own inverse images, specialized the same way
+    and checked mod p: ValueError if some g * g_inv is not I.  `p` must be
+    prime (ValueError otherwise).  Arithmetic is on int64 while a matrix
+    product entry, at most d*(p-1)^2, stays below 2^63, and on exact
+    Python integers above.
     """
     field = PrimeField(p)
     rng = random.Random(seed)
     d = rep.dim
     dtype = _field_dtype(d, p)
+    eye = np.eye(d, dtype=dtype)
     best = 0
     for trial in range(1, trials + 1):
         values = {v: rng.randrange(1, p) for v in rep.ring.variables}
         gens = []
-        singular = False
         for i in range(1, rep.n):
             g = _specialize_matrix_mod_p(rep.sigma_images[i], field, values, dtype)
-            g_inv = _mod_inverse_matrix(g, p)
-            if g_inv is None:
-                singular = True
-                break
+            g_inv = _specialize_matrix_mod_p(rep.sigma_inv_images[i], field, values, dtype)
+            if not np.array_equal((g @ g_inv) % p, eye):
+                raise ValueError("inverse image of sigma_%d in %s is not its inverse mod %d"
+                                 % (i, rep.name or "the representation", p))
             gens.extend([g, g_inv])
-        if singular:
-            continue
         basis = _SpanBasis(p, d * d)
-        queue = [np.eye(d, dtype=dtype)]
+        queue = [eye]
         basis.add(queue[0].reshape(-1))
         while queue and basis.dim() < d * d:
             m = queue.pop()

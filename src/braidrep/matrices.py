@@ -29,13 +29,6 @@ class Permutation:
     def identity(cls, n):
         return cls(range(n))
 
-    @classmethod
-    def transposition(cls, n, i):
-        """Swap positions i and i+1 (0-based)."""
-        img = list(range(n))
-        img[i], img[i + 1] = img[i + 1], img[i]
-        return cls(img)
-
     @property
     def size(self):
         return len(self.img)
@@ -105,7 +98,7 @@ class RingMatrix:
         return cls(ring, rows, cols, [zero] * (rows * cols))
 
     @classmethod
-    def from_entries_dict(cls, ring, n, entries, default_zero=True):
+    def from_entries_dict(cls, ring, n, entries):
         """Square matrix from {(i, j): scalar} with zeros elsewhere (0-based)."""
         zero = ring.zero()
         flat = [zero] * (n * n)
@@ -304,18 +297,6 @@ class RingMatrix:
         if self.is_monomial():
             return self.monomial_inverse()
         return self.adjugate_inverse()
-
-    def base_change(self, basis, basis_inverse=None):
-        """Conjugate: basis^{-1} * self * basis.
-
-        `basis` is a Permutation, a monomial RingMatrix, or any invertible
-        RingMatrix provided together with its inverse.
-        """
-        if isinstance(basis, Permutation):
-            basis = RingMatrix.permutation_matrix(self.ring, basis)
-        if basis_inverse is None:
-            basis_inverse = basis.inverse()
-        return basis_inverse * self * basis
 
     def index_relabel(self, perm):
         """Entry (i, j) of the result is entry (perm(i), perm(j)) of self."""

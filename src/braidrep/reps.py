@@ -40,10 +40,11 @@ class GenRep:
     def evaluate(self, word):
         if word.n != self.n:
             raise ValueError("word on %d strands, representation on %d" % (word.n, self.n))
-        out = RingMatrix.identity(self.ring, self.dim)
+        out = None
         for lt in word.letters:
-            out = out * self.letter_image(lt)
-        return out
+            m = self.letter_image(lt)
+            out = m if out is None else out * m
+        return out if out is not None else RingMatrix.identity(self.ring, self.dim)
 
     def check_relations(self):
         """Verify the defining relations of the (welded) braid group.

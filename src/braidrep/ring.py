@@ -1,4 +1,4 @@
-"""Exact arithmetic in Z[x1^{+-1}, ..., xk^{+-1}] and in prime fields.
+"""Exact arithmetic in Z[x1^{+-1}, ..., xk^{+-1}], and its specialisations.
 
 Polynomials are stored as finite maps from monomial keys to nonzero integer
 coefficients.  A key packs the exponent vector (e_1, ..., e_r) of a context
@@ -15,6 +15,10 @@ keeps an upper bound on the absolute value of its exponents, and an
 operation that would form an exponent outside the range raises
 OverflowError instead of returning an aliased value.  Only this module
 packs and unpacks keys.
+
+`specialize` maps a polynomial into another context, or into Z/p for a
+prime p certified by `PrimeField`; an element of Z/p is a plain int in
+[0, p).
 
 All values are immutable after construction and all operations are pure.
 """
@@ -388,7 +392,10 @@ def _is_prime(n):
 
 
 class PrimeField:
-    """The field Z/pZ for a prime p.  Acts as a ring context for matrices."""
+    """The field Z/pZ for a certified prime p, as a target of `specialize`.
+
+    Its elements are plain ints in [0, p).
+    """
 
     __slots__ = ("p",)
 
@@ -398,141 +405,51 @@ class PrimeField:
             raise ValueError("modulus %d is not prime" % p)
         self.p = p
 
-    def zero(self):
-        return PrimeFieldScalar(self, 0)
-
-    def one(self):
-        return PrimeFieldScalar(self, 1)
-
-    def elem(self, v):
-        return PrimeFieldScalar(self, v)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
     def __repr__(self):
         return "PrimeField(%d)" % self.p
-
-
-class PrimeFieldScalar:
-    """An element of a prime field, stored reduced mod p."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        self.field = field
-        self.value = int(value) % field.p
-
-    def _coerce(self, other):
-        if isinstance(other, PrimeFieldScalar):
-            if other.field != self.field:
-                raise ContextMismatch("different moduli")
-            return other
-        if isinstance(other, int):
-            return PrimeFieldScalar(self.field, other)
-        return None
-
-    def is_zero(self):
-        return self.value == 0
-
-    def is_one(self):
-        return self.value == 1
-
-    def is_unit(self):
-        return self.value != 0
-
-    def inverse(self):
-        if self.value == 0:
-            raise NotAUnit("zero has no inverse")
-        return PrimeFieldScalar(self.field, pow(self.value, self.field.p - 2, self.field.p))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return PrimeFieldScalar(self.field, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PrimeFieldScalar(self.field, -self.value)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return PrimeFieldScalar(self.field, self.value - other.value)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return PrimeFieldScalar(self.field, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        k = int(k)
-        if k < 0:
-            return self.inverse() ** (-k)
-        return PrimeFieldScalar(self.field, pow(self.value, k, self.field.p))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        return (
-            isinstance(other, PrimeFieldScalar)
-            and self.field == other.field
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __repr__(self):
-        return "%d (mod %d)" % (self.value, self.field.p)
 
 
 def specialize(p, images, target):
     """Apply the ring homomorphism sending each variable to its image.
 
-    `images` maps every variable of p's context to a unit of `target`
-    (a RingContext or a PrimeField).  Images must be units because
-    exponents may be negative.
+    Into a RingContext, `images` maps every variable of p's context to a
+    unit of `target` (an int is read as a constant) and the result is a
+    LaurentPoly.  Into a PrimeField(q), every image is an int that is
+    nonzero mod q and the result is an int in [0, q).  Images must be
+    units because exponents may be negative: NotAUnit otherwise, and
+    ContextMismatch for an image of the wrong kind.
     """
     missing = [v for v in p.ctx.variables if v not in images]
     if missing:
         raise KeyError("no image for variables %r" % (missing,))
-    field = isinstance(target, PrimeField)
-    vals = []
-    for v in p.ctx.variables:
-        img = images[v]
-        if isinstance(img, int):
-            img = target.elem(img) if field else target.const(img)
-        if getattr(img, "field" if field else "ctx", None) != target:
-            raise ContextMismatch("image of %s is not in %r" % (v, target))
-        if not img.is_unit():
-            raise NotAUnit("image of %s is not a unit: %r" % (v, img))
-        vals.append(img)
     arity = p.ctx.arity
-    if field:
+    if isinstance(target, PrimeField):
         mod = target.p
+        vals = []
+        for v in p.ctx.variables:
+            img = images[v]
+            if not isinstance(img, int):
+                raise ContextMismatch("image of %s is not in %r" % (v, target))
+            if not img % mod:
+                raise NotAUnit("image of %s is not a unit: %d (mod %d)" % (v, img, mod))
+            vals.append(img % mod)
         acc = 0
         for key, c in p.terms.items():
             for img, e in zip(vals, _unpack(key, arity)):
                 if e:
-                    c = c * pow(img.value, e, mod) % mod
+                    c = c * pow(img, e, mod) % mod
             acc += c
-        return PrimeFieldScalar(target, acc)
+        return acc % mod
+    vals = []
+    for v in p.ctx.variables:
+        img = images[v]
+        if isinstance(img, int):
+            img = target.const(img)
+        if getattr(img, "ctx", None) != target:
+            raise ContextMismatch("image of %s is not in %r" % (v, target))
+        if not img.is_unit():
+            raise NotAUnit("image of %s is not a unit: %r" % (v, img))
+        vals.append(img)
     # each image is s*x^f with s = +-1, and a term c*x^e maps to
     # c * prod(s_i^e_i) * x^(sum e_i*f_i), the key sum e_i*f_i
     units = []

@@ -11,7 +11,7 @@ from braidrep.longmoody import (WITNESS_PRIME, _identity_verdict,
                                 kernel_experiment, kernel_words, lm_apply, lm_q,
                                 lm_semidirect, make_eta, reduced_lm3, SemidirectRep)
 from braidrep.matrices import RingMatrix, direct_sum
-from braidrep.reps import GenRep, make_burau, make_one_dim, make_tym
+from braidrep.reps import GenRep, make_burau, make_one_dim, make_tym, tensor_one_dim
 from braidrep.ring import PrimeField, RingContext, specialize
 from braidrep.words import BraidWord
 
@@ -68,6 +68,51 @@ def test_lm_q_specializes_to_untwisted():
         got = rep.sigma_images[i].map_entries(
             lambda p: specialize(p, images, tctx), ring=tctx)
         assert got == plain.sigma_images[i]
+
+
+def lm_q_reference(rho):
+    """lm_q by its definition, q^{-1} * lm(q tensor rho)."""
+    q = rho.ring.var("q")
+    return tensor_one_dim(lm_apply(tensor_one_dim(rho, q)), q.inverse())
+
+
+def lm_semidirect_q_reference(eta):
+    """lm_semidirect(eta, q_twist=True) by its definition: sigma and x
+    images scaled by q, the construction, then the result scaled by q^{-1}."""
+    q = eta.ring.var("q")
+    braid = tensor_one_dim(eta.braid, q)
+    twisted = SemidirectRep(
+        eta.n, eta.dim, eta.ring, braid.sigma_images, braid.sigma_inv_images,
+        {j: m.scale(q) for j, m in eta.x_images.items()},
+        {j: m.scale(q.inverse()) for j, m in eta.x_inv_images.items()})
+    return tensor_one_dim(lm_semidirect(twisted), q.inverse())
+
+
+def same_images(a, b):
+    return (a.sigma_images == b.sigma_images
+            and a.sigma_inv_images == b.sigma_inv_images)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_lm_q_matches_its_definition(n):
+    t, q = TQ.var("t"), TQ.var("q")
+    sources = [make_tym(n, TQ), make_burau(n, t), make_one_dim(n, TQ.one()),
+               make_one_dim(n, t), tensor_one_dim(make_tym(n, TQ), q)]
+    for rho in sources:
+        assert same_images(lm_q(rho), lm_q_reference(rho)), rho.name
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_lm_semidirect_q_twist_matches_its_definition(n):
+    eta = make_eta(n, TQ)
+    assert same_images(lm_semidirect(eta, q_twist=True), lm_semidirect_q_reference(eta))
+
+
+def test_lm_q_error_order():
+    with pytest.raises(ValueError, match="must contain q"):
+        lm_q(make_tym(2))
+    with pytest.raises(ValueError, match="at least 3 strands"):
+        lm_q(make_tym(2, TQ))
 
 
 def test_eta_compatibility():
@@ -172,6 +217,23 @@ def test_irreducibility_probe_negative_controls():
     assert report["dimension"] < 16
 
 
+def test_irreducibility_probe_pinned_reports():
+    # reports of the probe with Gaussian-elimination inverses, kept as pins
+    reps = [(lm_q(make_tym(4, TQ)), 50), (lm_semidirect(make_eta(3, TQ), q_twist=True), 45)]
+    for rep, dim in reps:
+        report = irreducibility_probe(rep, p=10007, trials=1, seed=0)
+        assert report == {"dimension": dim, "full": False, "trials_used": 1}
+
+
+def test_irreducibility_probe_refuses_wrong_inverse_images():
+    tym = make_tym(3)
+    sig_inv = dict(tym.sigma_inv_images)
+    sig_inv[2] = tym.sigma_images[2]
+    broken = GenRep(3, 3, tym.ring, tym.sigma_images, sig_inv, name="broken")
+    with pytest.raises(ValueError, match="sigma_2 in broken"):
+        irreducibility_probe(broken, p=10007, trials=1, seed=0)
+
+
 def test_intertwining_small():
     assert intertwining_check(make_tym(4)) == []
     assert intertwining_check(make_burau(4, RingContext(("t",)).var("t"))) == []
@@ -263,7 +325,7 @@ def test_modular_certificate_rechecks():
 
     def image(lt):
         m = rep.letter_image(lt)
-        return np.array([[specialize(m[r, c], point, field).value for c in range(d)]
+        return np.array([[specialize(m[r, c], point, field) for c in range(d)]
                          for r in range(d)], dtype=np.int64)
 
     prod = np.eye(d, dtype=np.int64)
