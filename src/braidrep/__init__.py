@@ -2,18 +2,17 @@
 Long-Moody construction."""
 
 from .ring import (ContextMismatch, LaurentPoly, NotAUnit, PolyParseError,
-                   PrimeField, RingContext, embed, poly_render, specialize)
+                   PrimeField, RingContext, poly_render, specialize)
 from .matrices import Permutation, RingMatrix, ShapeMismatch, direct_sum
 from .words import (BraidWord, FreeWord, GroupRingElement, LinkingProfile,
                     WordParseError, artin_action, chi, commutator,
-                    fox_derivative, linking_profile_word)
+                    fox_derivative)
 from .reps import (GenRep, make_burau, make_one_dim, make_tym, make_wtym,
                    tensor_one_dim)
 from .stringlinks import (Classical, Diagram, DiagramError, LambdaRelation,
                           NormalForm, Virtual, add_kink, compose, ctx_for_mode,
                           diagram_from_word, eliminate, kernel_predicate,
-                          linking_profile_diagram, relations_of,
-                          self_writhe_correct, tym_matrix)
+                          linking_profile_diagram, relations_of, tym_matrix)
 from .longmoody import (SemidirectRep, block_formula_lm_q_tym, check_semidirect,
                         decompose_check, identify_trivial_burau,
                         intertwining_check, irreducibility_probe,

@@ -16,7 +16,7 @@ from .ring import (ContextMismatch, NotAUnit, PolyParseError, RingContext,
 from .stringlinks import (Diagram, DiagramError, MODES, ctx_for_mode,
                           diagram_from_word, eliminate, kernel_predicate,
                           linking_profile_diagram, tym_matrix)
-from .words import BraidWord, WordParseError, linking_profile_word
+from .words import BraidWord, WordParseError
 from . import longmoody
 
 
@@ -100,6 +100,13 @@ def load_diagram(path):
         return Diagram.parse(_read(path))
     except DiagramError as exc:
         raise CliError(str(exc), 2)
+
+
+def load_input(args):
+    """The diagram of --diagram, or the diagram threaded through the --word file."""
+    if args.diagram:
+        return load_diagram(args.diagram)
+    return diagram_from_word(load_word(args.word))
 
 
 def emit_matrix(m, fmt, out):
@@ -193,7 +200,7 @@ def cmd_eval(args, out):
 
 
 def cmd_invariant(args, out):
-    d = load_diagram(args.diagram) if args.diagram else diagram_from_word(load_word(args.word))
+    d = load_input(args)
     try:
         m = tym_matrix(d, args.mode,
                        self_writhe_correction=not args.no_correction)
@@ -204,10 +211,7 @@ def cmd_invariant(args, out):
 
 
 def cmd_linking(args, out):
-    if args.diagram:
-        prof = linking_profile_diagram(load_diagram(args.diagram))
-    else:
-        prof = linking_profile_word(load_word(args.word))
+    prof = linking_profile_diagram(load_input(args))
     n = prof.n
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     report = {
@@ -222,7 +226,7 @@ def cmd_linking(args, out):
 
 
 def cmd_kernel_check(args, out):
-    d = load_diagram(args.diagram) if args.diagram else diagram_from_word(load_word(args.word))
+    d = load_input(args)
     try:
         verdict = kernel_predicate(d, args.thm)
     except (DiagramError, ValueError) as exc:

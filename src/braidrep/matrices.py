@@ -106,12 +106,6 @@ class RingMatrix:
             flat[i * n + j] = ring.const(v) if isinstance(v, int) else v
         return cls(ring, n, n, flat)
 
-    @classmethod
-    def permutation_matrix(cls, ring, perm):
-        """P with P e_j = e_{perm(j)}: entry (perm(j), j) = 1."""
-        n = perm.size
-        return cls.from_entries_dict(ring, n, {(perm(j), j): 1 for j in range(n)})
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i * self.cols + j]

@@ -491,12 +491,6 @@ def _checked_image(exps, vals, arity):
     return max(map(abs, image), default=0), _pack(image)
 
 
-def embed(p, target):
-    """Canonical inclusion into a context containing the same variables."""
-    images = {v: target.var(v) for v in p.ctx.variables}
-    return specialize(p, images, target)
-
-
 def poly_render(p):
     """Canonical text form, parseable back to an equal polynomial.
 

@@ -1,9 +1,14 @@
-"""String link diagrams and the monomial invariants computed from crossing relations.
+"""String link diagrams and the monomial invariants read off their crossings.
 
 A diagram is an abstract incidence structure: n strings run from a family of
 top arcs to a family of bottom arcs through a sequence of crossings.  Each
-classical crossing rewrites its two incoming arcs with monomial weights, and
-eliminating the intermediate arcs yields a monomial matrix invariant.
+classical crossing rewrites its two incoming arcs with monomial weights
+(`relations_of`), and eliminating the intermediate arcs (`eliminate`) yields
+a monomial matrix invariant.  Since the weights commute, each string's weight
+depends only on its signed crossing counts against every string, so
+`tym_matrix` reads the matrix off one tally of the crossings
+(`linking_profile_diagram`); the relations and their elimination remain as
+the reference definition.
 """
 from __future__ import annotations
 
@@ -114,16 +119,6 @@ class Diagram:
     def has_virtual(self):
         return any(isinstance(c, Virtual) for c in self.crossings)
 
-    def self_writhe(self, s):
-        """Signed count of classical crossings of string s with itself."""
-        k = 0
-        for c in self.crossings:
-            if (isinstance(c, Classical)
-                    and self._arc_string[c.over_in] == s
-                    and self._arc_string[c.under_in] == s):
-                k += c.sign
-        return k
-
     @classmethod
     def trivial(cls, n):
         arcs = ["s%d" % i for i in range(1, n + 1)]
@@ -149,36 +144,40 @@ class Diagram:
     @classmethod
     def parse(cls, text):
         n = None
-        top = {}
-        bottom = {}
+        ends = {"top": {}, "bottom": {}}
         crossings = []
         for lineno, raw in enumerate(text.split("\n"), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            kw = parts[0]
+            kw, *args = line.split()
             try:
                 if kw == "strands":
-                    n = int(parts[1])
-                elif kw == "top":
-                    top[int(parts[1])] = parts[2]
-                elif kw == "bottom":
-                    bottom[int(parts[1])] = parts[2]
-                elif kw == "x":
-                    sign = {"+": 1, "-": -1}[parts[1]]
-                    crossings.append(Classical(sign, *parts[2:6]))
-                elif kw == "v":
-                    chir = {"+": 1, "-": -1}[parts[1]]
-                    crossings.append(Virtual(chir, *parts[2:6]))
+                    if n is not None:
+                        raise DiagramError("line %d: repeated 'strands' line" % lineno)
+                    (count,) = args
+                    n = int(count)
+                    if n < 1:
+                        raise DiagramError("line %d: strand count %d is below 1" % (lineno, n))
+                elif kw in ends:
+                    pos, arc = args
+                    pos = int(pos)
+                    if pos in ends[kw]:
+                        raise DiagramError("line %d: repeated '%s %d' line" % (lineno, kw, pos))
+                    ends[kw][pos] = arc
+                elif kw in ("x", "v"):
+                    sign, a_in, a_out, b_in, b_out = args
+                    kind = Classical if kw == "x" else Virtual
+                    crossings.append(kind({"+": 1, "-": -1}[sign], a_in, a_out, b_in, b_out))
                 else:
                     raise DiagramError("line %d: unknown keyword %r" % (lineno, kw))
-            except (IndexError, KeyError, ValueError) as exc:
-                if isinstance(exc, DiagramError):
-                    raise
+            except DiagramError:
+                raise
+            except (KeyError, ValueError):
                 raise DiagramError("line %d: malformed %r line" % (lineno, kw))
         if n is None:
             raise DiagramError("missing 'strands' line")
+        top, bottom = ends["top"], ends["bottom"]
         if sorted(top) != list(range(1, n + 1)) or sorted(bottom) != list(range(1, n + 1)):
             raise DiagramError("top/bottom positions must cover 1..%d" % n)
         return cls(n, crossings, [top[s] for s in range(1, n + 1)],
@@ -347,47 +346,32 @@ def eliminate(relations, tops, bottoms):
     return NormalForm(n, source, weight)
 
 
-def _eliminate_diagram(d, mode, ctx):
-    rels = relations_of(d, mode, ctx)
-    if not rels:
-        return NormalForm(d.n, [d.arc_string(a) for a in d.bottom],
-                          [ctx.one()] * d.n)
-    nf = eliminate(rels, d.top, d.bottom)
-    fixed = []
-    for j, a in enumerate(d.bottom):
-        if nf.source[j] != d.arc_string(a):
-            raise DiagramError("relation chain disagrees with string traversal")
-        fixed.append(nf.weight[j])
-    return NormalForm(d.n, nf.source, fixed)
+def tym_matrix(d, mode, self_writhe_correction=True):
+    """The monomial matrix with entry (source string, bottom position) = weight.
 
-
-def self_writhe_correct(nf, d, mode, ctx=None):
-    """Divide each weight by (uv)^k for the k signed self-crossings of its string."""
-    if ctx is None:
-        ctx = nf.weight[0].ctx
-    out = []
-    for j in range(d.n):
-        s = nf.source[j]
-        k = d.self_writhe(s)
-        w = nf.weight[j]
-        if k:
-            if mode in ("2var", "w3"):
-                uv = ctx.var("u") * ctx.var("v")
-            else:
-                uv = ctx.var("u%d" % s) * ctx.var("v%d" % s)
-            w = w * uv ** (-k)
-        out.append(w)
-    return NormalForm(d.n, nf.source, out)
-
-
-def tym_matrix(d, mode, ctx=None, self_writhe_correction=True):
-    """The monomial matrix with entry (source string, bottom position) = weight."""
-    if ctx is None:
-        ctx = ctx_for_mode(mode, d.n)
-    nf = _eliminate_diagram(d, mode, ctx)
-    if self_writhe_correction:
-        nf = self_writhe_correct(nf, d, mode, ctx)
-    entries = {(nf.source[j] - 1, j): nf.weight[j] for j in range(d.n)}
+    With vl and V the crossing tally of `linking_profile_diagram`, the
+    weight of string s is the product over strings i of
+    u_i^vl(i,s) * v_i^vl(s,i) * al_i^-V(s,i); in the "2var" and "w3" modes
+    u_i, v_i and al_i are u, v and al.  The self-writhe correction drops the
+    i = s factors of u and v, that is, divides by (u_s v_s)^vl(s,s).
+    """
+    ctx = ctx_for_mode(mode, d.n)
+    if mode in ("2var", "multi") and d.has_virtual():
+        raise DiagramError("virtual crossings need a welded mode")
+    prof = linking_profile_diagram(d)
+    strings = range(1, d.n + 1)
+    entries = {}
+    for j, arc in enumerate(d.bottom):
+        s = d.arc_string(arc)
+        u = [prof.vl[(i, s)] for i in strings]
+        v = [prof.vl[(s, i)] for i in strings]
+        al = [-prof.V[(s, i)] for i in strings]
+        if self_writhe_correction:
+            u[s - 1] = v[s - 1] = 0
+        if mode in ("2var", "w3"):
+            u, v, al = [sum(u)], [sum(v)], [sum(al)]
+        # the variables of each mode are the u's, then the v's, then any al's
+        entries[(s - 1, j)] = ctx.monomial((u + v + al)[:ctx.arity])
     return RingMatrix.from_entries_dict(ctx, d.n, entries)
 
 
@@ -396,12 +380,7 @@ def compose(d1, d2):
     if d1.n != d2.n:
         raise DiagramError("strand counts differ")
     rename = {}
-    used = set(d1.top) | set(d1.bottom)
-    for c in d1.crossings:
-        if isinstance(c, Classical):
-            used.update((c.over_in, c.over_out, c.under_in, c.under_out))
-        else:
-            used.update((c.a_in, c.a_out, c.b_in, c.b_out))
+    used = set(d1._arc_string)
     for j, a in enumerate(d2.top):
         rename[a] = d1.bottom[j]
 
@@ -430,12 +409,7 @@ def compose(d1, d2):
 def add_kink(d, position, sign=1):
     """Append a single-string curl at the given bottom position (1-based)."""
     old = d.bottom[position - 1]
-    used = set(d.top) | set(d.bottom)
-    for c in d.crossings:
-        if isinstance(c, Classical):
-            used.update((c.over_in, c.over_out, c.under_in, c.under_out))
-        else:
-            used.update((c.a_in, c.a_out, c.b_in, c.b_out))
+    used = d._arc_string
     mid, new = old + "k", old + "kk"
     while mid in used or new in used:
         mid, new = mid + "k", new + "kk"
@@ -447,19 +421,16 @@ def add_kink(d, position, sign=1):
 
 
 def linking_profile_diagram(d):
+    """Tally every crossing by the strings that meet there, self-crossings included."""
     prof = LinkingProfile(d.n)
     for c in d.crossings:
         if isinstance(c, Classical):
-            i = d.arc_string(c.over_in)
-            j = d.arc_string(c.under_in)
-            if i != j:
-                prof.vl[(i, j)] += c.sign
+            prof.vl[(d.arc_string(c.over_in), d.arc_string(c.under_in))] += c.sign
         else:
             a = d.arc_string(c.a_in)
             b = d.arc_string(c.b_in)
-            if a != b:
-                prof.V[(a, b)] += c.chirality
-                prof.V[(b, a)] -= c.chirality
+            prof.V[(a, b)] += c.chirality
+            prof.V[(b, a)] -= c.chirality
     return prof
 
 

@@ -367,19 +367,21 @@ def fox_derivative(w, j):
 
 
 class LinkingProfile:
-    """Signed crossing tallies between the strings of a (welded) word or diagram.
+    """Signed crossing tallies between the strings of a (welded) diagram.
 
     vl[(i, j)] counts classical crossings where string i passes over string j;
     V[(i, j)] is the signed virtual-pass count (antisymmetric).  Strings are
-    1-based and identified by their starting position.
+    1-based and identified by their starting position.  The diagonal is
+    counted too: vl[(s, s)] is the signed self-crossing count (the writhe)
+    of string s, and V[(s, s)] is always 0.
     """
 
     __slots__ = ("n", "vl", "V")
 
     def __init__(self, n):
         self.n = n
-        self.vl = {(i, j): 0 for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
-        self.V = {(i, j): 0 for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+        self.vl = {(i, j): 0 for i in range(1, n + 1) for j in range(1, n + 1)}
+        self.V = dict(self.vl)
 
     def lk(self, i, j):
         """Classical linking number: half the signed crossing count."""
@@ -398,30 +400,3 @@ class LinkingProfile:
 
     def __repr__(self):
         return "LinkingProfile(n=%d, vl=%r, V=%r)" % (self.n, self.vl, self.V)
-
-
-def linking_profile_word(word):
-    """Track strand positions letter by letter and tally the crossings.
-
-    At a positive classical crossing the strand entering on the right
-    passes over; at a negative one the strand entering on the left does.
-    A virtual letter moves the left strand across the right one.
-    Strings are identified by starting position (1-based).
-    """
-    n = word.n
-    prof = LinkingProfile(n)
-    pos2str = list(range(1, n + 1))
-    for lt in word.letters:
-        k = lt[1] - 1
-        a, b = pos2str[k], pos2str[k + 1]
-        if lt[0] == "s":
-            sign = lt[2]
-            over, under = (b, a) if sign > 0 else (a, b)
-            if over != under:
-                prof.vl[(over, under)] += sign
-        else:
-            if a != b:
-                prof.V[(a, b)] += 1
-                prof.V[(b, a)] -= 1
-        pos2str[k], pos2str[k + 1] = pos2str[k + 1], pos2str[k]
-    return prof

@@ -112,6 +112,26 @@ x + a2 x1 a1 x2
     assert "u2" in out and "v1" in out
 
 
+@pytest.mark.parametrize("line, bad", [
+    ("x + a2 x1 a1 x2", "x + a"),
+    ("x + a2 x1 a1 x2", "v + b c"),
+    ("x + a2 x1 a1 x2", "x + a2 x1 a1 x2 junk"),
+    ("top 1 a1", "top 1 a1 b"),
+    ("strands 2", "strands 2\nstrands 2"),
+    ("top 2 a2", "top 2 a2\ntop 2 a3"),
+    ("bottom 2 x2", "bottom 2 x2\nbottom 2 x3"),
+    ("strands 2", "strands 0"),
+    ("strands 2", "strands -1"),
+])
+def test_malformed_diagram_line_is_a_parse_error(tmp_path, capsys, line, bad):
+    text = "strands 2\ntop 1 a1\ntop 2 a2\nbottom 1 x1\nbottom 2 x2\nx + a2 x1 a1 x2\n"
+    diagram = write(tmp_path, "d.diag", text.replace(line, bad))
+    status, out, err = run(capsys, "invariant", "--mode", "multi", "--diagram", diagram)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: line") and "Traceback" not in err
+
+
 def test_lm_decompose(capsys):
     status, out, _ = run(capsys, "lm", "decompose", "--n", "2")
     assert status == 0

@@ -75,13 +75,6 @@ def test_permutation_algebra():
     assert r * r.inverse() == Permutation.identity(3)
 
 
-def test_permutation_matrix_convention():
-    perm = Permutation([1, 2, 0])
-    pm = RingMatrix.permutation_matrix(T, perm)
-    for j in range(3):
-        assert pm[perm(j), j].is_one()
-
-
 def test_index_relabel_is_permutation_conjugation():
     t = T.var("t")
     m = tmat([[1, t, 0], [0, 2, t], ["t^-1", 0, 3]])

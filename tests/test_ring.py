@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from braidrep.matrices import RingMatrix
 from braidrep.ring import (ContextMismatch, LaurentPoly, NotAUnit, PolyParseError,
-                           PrimeField, RingContext, embed, poly_render,
+                           PrimeField, RingContext, poly_render,
                            specialize)
 
 UV = RingContext(("u", "v"))
@@ -109,13 +109,6 @@ def test_specialize_to_prime_field_rejects_bad_images():
         specialize(T.var("t"), {"t": 14}, f)
     with pytest.raises(ContextMismatch):
         specialize(T.var("t"), {"t": T.var("t")}, f)
-
-
-def test_embed():
-    big = RingContext(("t", "q"))
-    p = T.parse("1 - t")
-    q = embed(p, big)
-    assert q == big.parse("1 - t")
 
 
 def test_prime_field_rejects_composite():

@@ -1,17 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidrep.matrices import RingMatrix
 from braidrep.reps import make_tym
 from braidrep.ring import RingContext, specialize
-from braidrep.stringlinks import (Classical, Diagram, DiagramError,
+from braidrep.stringlinks import (MODES, Classical, Diagram, DiagramError,
                                   LambdaRelation, NormalForm, add_kink,
                                   compose, ctx_for_mode, diagram_from_word,
                                   eliminate, kernel_predicate,
                                   linking_profile_diagram, relations_of,
-                                  self_writhe_correct, tym_matrix)
-from braidrep.words import BraidWord, commutator, linking_profile_word
+                                  tym_matrix)
+from braidrep.words import BraidWord, commutator
 
 from test_words import random_word
 
@@ -205,9 +206,19 @@ def test_braid_words_have_no_self_crossings():
     rng = random.Random(37)
     for _ in range(15):
         w = random_word(rng, 4, 10, virtual=True)
-        d = diagram_from_word(w)
+        prof = linking_profile_diagram(diagram_from_word(w))
         for s in range(1, 5):
-            assert d.self_writhe(s) == 0
+            assert prof.vl[(s, s)] == 0
+            assert prof.V[(s, s)] == 0
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_one_kink_is_a_unit_self_crossing(sign):
+    d = add_kink(diagram_from_word(word(3, 1, "v2", -1)), 2, sign=sign)
+    prof = linking_profile_diagram(d)
+    s = d.arc_string(d.bottom[1])
+    assert prof.vl[(s, s)] == sign
+    assert all(prof.vl[(i, i)] == 0 for i in (1, 2, 3) if i != s)
 
 
 def test_monomiality_and_purity():
@@ -219,13 +230,6 @@ def test_monomiality_and_purity():
         assert m.is_monomial()
         diagonal = all(m[i, j].is_zero() for i in range(3) for j in range(3) if i != j)
         assert diagonal == d.is_pure()
-
-
-def test_linking_profile_matches_word_version():
-    rng = random.Random(43)
-    for _ in range(20):
-        w = random_word(rng, 4, 10, virtual=True)
-        assert linking_profile_diagram(diagram_from_word(w)) == linking_profile_word(w)
 
 
 def test_kernel_predicate_examples():
@@ -277,3 +281,53 @@ def test_welded_specialization_recovers_wtym():
             images[v] = ctx3.var(v.rstrip("123"))
         collapsed = m.map_entries(lambda p: specialize(p, images, ctx3), ring=ctx3)
         assert collapsed == tym_matrix(d, "w3")
+
+
+@st.composite
+def kinked_diagrams(draw):
+    """Word diagrams, classical or welded, composed and kinked at least once."""
+    n = draw(st.integers(1, 4))
+    if n > 1:
+        i = st.integers(1, n - 1)
+        letter = st.builds(lambda i, e: ("s", i, e), i, st.sampled_from((1, -1)))
+        if draw(st.booleans()):
+            letter = letter | st.builds(lambda i: ("t", i), i)
+
+    def piece():
+        letters = draw(st.lists(letter, max_size=8)) if n > 1 else []
+        return diagram_from_word(BraidWord(n, letters))
+
+    d = piece()
+    kinks = draw(st.lists(st.tuples(st.integers(1, n), st.sampled_from((1, -1))),
+                          min_size=1, max_size=5))
+    for position, sign in kinks:
+        if draw(st.booleans()):
+            d = compose(d, piece())
+        d = add_kink(d, position, sign)
+    return d
+
+
+def eliminated_matrix(d, mode, correction):
+    """The invariant by chaining the crossing relations, and the writhe by rescanning."""
+    ctx = ctx_for_mode(mode, d.n)
+    nf = eliminate(relations_of(d, mode, ctx), d.top, d.bottom)
+    entries = {}
+    for j in range(d.n):
+        s, w = nf.source[j], nf.weight[j]
+        if correction:
+            k = sum(c.sign for c in d.crossings if isinstance(c, Classical)
+                    and d.arc_string(c.over_in) == s == d.arc_string(c.under_in))
+            u, v = ("u", "v") if mode in ("2var", "w3") else ("u%d" % s, "v%d" % s)
+            w = w * (ctx.var(u) * ctx.var(v)) ** (-k)
+        entries[(s - 1, j)] = w
+    return RingMatrix.from_entries_dict(ctx, d.n, entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kinked_diagrams())
+def test_tally_matches_elimination(d):
+    modes = ("w3", "wmulti") if d.has_virtual() else MODES
+    for mode in modes:
+        for correction in (True, False):
+            assert (tym_matrix(d, mode, self_writhe_correction=correction)
+                    == eliminated_matrix(d, mode, correction))

@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidrep.stringlinks import diagram_from_word, linking_profile_diagram
 from braidrep.words import (BraidWord, FreeWord, GroupRingElement,
                             WordParseError, artin_action, chi, commutator,
-                            fox_derivative, linking_profile_word)
+                            fox_derivative)
 
 
 def random_word(rng, n, length, virtual=False):
@@ -164,7 +165,7 @@ def test_fox_fundamental_identity(w):
 
 def test_linking_profile_sigma1_squared():
     w = BraidWord(2, [("s", 1, 1), ("s", 1, 1)])
-    prof = linking_profile_word(w)
+    prof = linking_profile_diagram(diagram_from_word(w))
     assert prof.vl[(1, 2)] == 1 and prof.vl[(2, 1)] == 1
     assert prof.lk(1, 2) == 1
     assert all(v == 0 for v in prof.V.values())
@@ -174,7 +175,7 @@ def test_linking_profile_virtual_antisymmetry():
     rng = random.Random(11)
     for _ in range(30):
         w = random_word(rng, 3, 8, virtual=True)
-        prof = linking_profile_word(w)
+        prof = linking_profile_diagram(diagram_from_word(w))
         for i in range(1, 4):
             for j in range(1, 4):
                 if i != j:
@@ -183,5 +184,5 @@ def test_linking_profile_virtual_antisymmetry():
 
 def test_linking_profile_tau_squared_cancels():
     w = BraidWord(2, [("t", 1), ("t", 1)])
-    prof = linking_profile_word(w)
+    prof = linking_profile_diagram(diagram_from_word(w))
     assert prof.V[(1, 2)] == 0
