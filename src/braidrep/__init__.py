@@ -9,8 +9,8 @@ from .words import (BraidWord, FreeWord, GroupRingElement, LinkingProfile,
                     fox_derivative)
 from .reps import (GenRep, make_burau, make_one_dim, make_tym, make_wtym,
                    tensor_one_dim)
-from .stringlinks import (Classical, Diagram, DiagramError, LambdaRelation,
-                          NormalForm, Virtual, add_kink, compose, ctx_for_mode,
+from .stringlinks import (Crossing, Diagram, DiagramError, LambdaRelation,
+                          NormalForm, add_kink, compose, ctx_for_mode,
                           diagram_from_word, eliminate, kernel_predicate,
                           linking_profile_diagram, relations_of, tym_matrix)
 from .longmoody import (SemidirectRep, block_formula_lm_q_tym, check_semidirect,

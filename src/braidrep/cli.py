@@ -12,7 +12,7 @@ import sys
 from . import golden
 from .reps import make_burau, make_one_dim, make_tym, make_wtym
 from .ring import (ContextMismatch, NotAUnit, PolyParseError, RingContext,
-                   specialize)
+                   _tokenize, specialize)
 from .stringlinks import (Diagram, DiagramError, MODES, ctx_for_mode,
                           diagram_from_word, eliminate, kernel_predicate,
                           linking_profile_diagram, tym_matrix)
@@ -34,65 +34,8 @@ def _read(path):
         raise CliError(str(exc), 2)
 
 
-def _expand_brackets(tokens):
-    """Expand `[ A , B ]` groups into a^{-1} b^{-1} a b token sequences."""
-
-    def invert(toks):
-        out = []
-        for tok in reversed(toks):
-            if tok.startswith("v"):
-                out.append(tok)
-            else:
-                out.append(str(-int(tok)))
-        return out
-
-    # one frame per open bracket: [sequence around it, A once its comma is read]
-    stack = []
-    out = []
-    for tok in tokens:
-        stop = None if not stack else "," if stack[-1][1] is None else "]"
-        if tok == stop:
-            frame = stack[-1]
-            if frame[1] is None:
-                frame[1], out = out, []
-                continue
-            stack.pop()
-            a, b, out = frame[1], out, frame[0]
-            try:
-                out.extend(invert(a) + invert(b) + a + b)
-            except ValueError:
-                raise CliError("bad token inside commutator", 2)
-        elif tok == "[":
-            stack.append([out, None])
-            out = []
-        else:
-            out.append(tok)
-    if stack:
-        raise CliError("unterminated commutator", 2)
-    return out
-
-
 def load_word(path):
-    text = _read(path)
-    for ch in "[],":
-        text = text.replace(ch, " %s " % ch)
-    lines = [ln.split("#", 1)[0] for ln in text.split("\n")]
-    header = []
-    body = []
-    for ln in lines:
-        ln = ln.strip()
-        if not ln:
-            continue
-        if not header:
-            header.append(ln.split()[0])
-            body.extend(ln.split()[1:])
-        else:
-            body.extend(ln.split())
-    body = _expand_brackets(body)
-    try:
-        return BraidWord.parse("\n".join(header + [" ".join(body)]))
-    except WordParseError as exc:
-        raise CliError(str(exc), 2)
+    return BraidWord.parse(_read(path))
 
 
 def load_diagram(path):
@@ -181,11 +124,8 @@ def cmd_eval(args, out):
             images[var] = text
         # the target context keeps unspecialized variables and gains any
         # variables mentioned on the right hand sides
-        mentioned = set()
-        for text in images.values():
-            for tok in text.replace("^", " ").replace("*", " ").replace("-", " ").replace("+", " ").split():
-                if tok and not tok.isdigit():
-                    mentioned.add(tok)
+        mentioned = {name for text in images.values()
+                     for kind, name in _tokenize(text) if kind == "name"}
         keep = [v for v in rep.ring.variables if v not in images]
         target = RingContext(tuple(keep) + tuple(sorted(mentioned - set(keep))))
         try:

@@ -13,6 +13,7 @@ the reference definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .matrices import Permutation, RingMatrix
 from .ring import RingContext
@@ -25,18 +26,16 @@ class DiagramError(ValueError):
     """The incidence structure does not describe n directed strings."""
 
 
-@dataclass(frozen=True)
-class Classical:
+class Crossing(NamedTuple):
+    """Strand a meets strand b, each passing from its in arc to its out arc.
+
+    `kind` is "x" for a classical crossing, where strand a passes over
+    strand b and `sign` is the crossing sign, or "v" for a virtual crossing,
+    where `sign` is its chirality.
+    """
+
+    kind: str
     sign: int
-    over_in: str
-    over_out: str
-    under_in: str
-    under_out: str
-
-
-@dataclass(frozen=True)
-class Virtual:
-    chirality: int
     a_in: str
     a_out: str
     b_in: str
@@ -53,7 +52,7 @@ class LambdaRelation:
 class Diagram:
     """An n-string diagram given by top/bottom arcs and a crossing list."""
 
-    __slots__ = ("n", "crossings", "top", "bottom", "_succ", "_arc_string")
+    __slots__ = ("n", "crossings", "top", "bottom", "_arc_string")
 
     def __init__(self, n, crossings, top, bottom):
         self.n = n
@@ -62,48 +61,28 @@ class Diagram:
         self.bottom = tuple(bottom)
         if len(self.top) != n or len(self.bottom) != n:
             raise DiagramError("need exactly %d top and bottom arcs" % n)
-        self._succ = self._build_successors()
-        self._arc_string = self._trace_strings()
-
-    def _build_successors(self):
         succ = {}
-        sources = list(self.top)
-        sinks = list(self.bottom)
         for c in self.crossings:
-            if isinstance(c, Classical):
-                pairs = [(c.over_in, c.over_out), (c.under_in, c.under_out)]
-            else:
-                pairs = [(c.a_in, c.a_out), (c.b_in, c.b_out)]
-            for a_in, a_out in pairs:
+            for a_in, a_out in ((c.a_in, c.a_out), (c.b_in, c.b_out)):
                 if a_in in succ:
                     raise DiagramError("arc %r consumed twice" % a_in)
                 succ[a_in] = a_out
-                sources.append(a_out)
-                sinks.append(a_in)
-        if len(set(sources)) != len(sources):
+        if len(set(self.top).union(succ.values())) != n + len(succ):
             raise DiagramError("some arc is produced twice")
-        if set(sources) != set(sinks):
-            raise DiagramError("produced and consumed arcs do not match")
-        return succ
-
-    def _trace_strings(self):
+        # Every arc now has one producer and no top arc is produced by a
+        # crossing, so a walk never revisits an arc or meets another string.
+        bottom = set(self.bottom)
         arc_string = {}
-        bottom_pos = {a: j for j, a in enumerate(self.bottom)}
         for s, arc in enumerate(self.top, 1):
-            seen = set()
-            while True:
-                if arc in seen:
-                    raise DiagramError("string %d loops" % s)
-                seen.add(arc)
-                arc_string[arc] = s
-                if arc in bottom_pos:
-                    break
-                if arc not in self._succ:
+            arc_string[arc] = s
+            while arc not in bottom:
+                if arc not in succ:
                     raise DiagramError("string %d breaks at arc %r" % (s, arc))
-                arc = self._succ[arc]
-        if len(arc_string) != len(self.top) + 2 * len(self.crossings):
+                arc = succ[arc]
+                arc_string[arc] = s
+        if len(arc_string) != n + len(succ):
             raise DiagramError("unreachable arcs present")
-        return arc_string
+        self._arc_string = arc_string
 
     def arc_string(self, arc):
         """1-based index (top position) of the string containing an arc."""
@@ -117,7 +96,7 @@ class Diagram:
         return self.permutation().is_identity()
 
     def has_virtual(self):
-        return any(isinstance(c, Virtual) for c in self.crossings)
+        return any(c.kind == "v" for c in self.crossings)
 
     @classmethod
     def trivial(cls, n):
@@ -131,14 +110,7 @@ class Diagram:
         for s, a in enumerate(self.bottom, 1):
             lines.append("bottom %d %s" % (s, a))
         for c in self.crossings:
-            if isinstance(c, Classical):
-                lines.append("x %s %s %s %s %s" % (
-                    "+" if c.sign > 0 else "-",
-                    c.over_in, c.over_out, c.under_in, c.under_out))
-            else:
-                lines.append("v %s %s %s %s %s" % (
-                    "+" if c.chirality > 0 else "-",
-                    c.a_in, c.a_out, c.b_in, c.b_out))
+            lines.append(" ".join((c.kind, "+" if c.sign > 0 else "-") + c[2:]))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -167,8 +139,8 @@ class Diagram:
                     ends[kw][pos] = arc
                 elif kw in ("x", "v"):
                     sign, a_in, a_out, b_in, b_out = args
-                    kind = Classical if kw == "x" else Virtual
-                    crossings.append(kind({"+": 1, "-": -1}[sign], a_in, a_out, b_in, b_out))
+                    crossings.append(Crossing(kw, {"+": 1, "-": -1}[sign],
+                                              a_in, a_out, b_in, b_out))
                 else:
                     raise DiagramError("line %d: unknown keyword %r" % (lineno, kw))
             except DiagramError:
@@ -190,24 +162,17 @@ def diagram_from_word(word):
     cur = ["t%d" % s for s in range(1, n + 1)]
     top = list(cur)
     crossings = []
-    counter = [0]
-
-    def fresh():
-        counter[0] += 1
-        return "m%d" % counter[0]
-
-    for lt in word.letters:
-        k = lt[1] - 1
-        left, right = cur[k], cur[k + 1]
-        new_left, new_right = fresh(), fresh()
-        if lt[0] == "s":
-            if lt[2] > 0:
-                crossings.append(Classical(1, right, new_left, left, new_right))
-            else:
-                crossings.append(Classical(-1, left, new_right, right, new_left))
+    for k, lt in enumerate(word.letters):
+        i = lt[1] - 1
+        left, right = cur[i], cur[i + 1]
+        new_left, new_right = "m%d" % (2 * k + 1), "m%d" % (2 * k + 2)
+        if lt[0] == "t":
+            crossings.append(Crossing("v", 1, left, new_right, right, new_left))
+        elif lt[2] > 0:
+            crossings.append(Crossing("x", 1, right, new_left, left, new_right))
         else:
-            crossings.append(Virtual(1, left, new_right, right, new_left))
-        cur[k], cur[k + 1] = new_left, new_right
+            crossings.append(Crossing("x", -1, left, new_right, right, new_left))
+        cur[i], cur[i + 1] = new_left, new_right
     return Diagram(n, crossings, top, cur)
 
 
@@ -259,22 +224,20 @@ def relations_of(d, mode, ctx=None):
 
     rels = []
     for c in d.crossings:
-        if isinstance(c, Classical):
-            s_over = d.arc_string(c.over_in)
-            s_under = d.arc_string(c.under_in)
-            u, v = _mode_vars(mode, s_over, s_under)
-            rels.append(LambdaRelation(c.under_in, c.under_out, weight(u, c.sign)))
-            rels.append(LambdaRelation(c.over_in, c.over_out, weight(v, c.sign)))
+        s_a = d.arc_string(c.a_in)
+        s_b = d.arc_string(c.b_in)
+        if c.kind == "x":
+            u, v = _mode_vars(mode, s_a, s_b)
+            rels.append(LambdaRelation(c.b_in, c.b_out, weight(u, c.sign)))
+            rels.append(LambdaRelation(c.a_in, c.a_out, weight(v, c.sign)))
         else:
-            s_a = d.arc_string(c.a_in)
-            s_b = d.arc_string(c.b_in)
             if mode == "w3":
                 al_for_a = al_for_b = "al"
             else:
                 al_for_a = "al%d" % s_b
                 al_for_b = "al%d" % s_a
-            rels.append(LambdaRelation(c.a_in, c.a_out, weight(al_for_a, -c.chirality)))
-            rels.append(LambdaRelation(c.b_in, c.b_out, weight(al_for_b, c.chirality)))
+            rels.append(LambdaRelation(c.a_in, c.a_out, weight(al_for_a, -c.sign)))
+            rels.append(LambdaRelation(c.b_in, c.b_out, weight(al_for_b, c.sign)))
     return rels
 
 
@@ -396,25 +359,22 @@ def compose(d1, d2):
 
     crossings = list(d1.crossings)
     for c in d2.crossings:
-        if isinstance(c, Classical):
-            crossings.append(Classical(c.sign, rn(c.over_in), rn(c.over_out),
-                                       rn(c.under_in), rn(c.under_out)))
-        else:
-            crossings.append(Virtual(c.chirality, rn(c.a_in), rn(c.a_out),
-                                     rn(c.b_in), rn(c.b_out)))
+        crossings.append(Crossing(c.kind, c.sign, *map(rn, c[2:])))
     bottom = [rn(a) for a in d2.bottom]
     return Diagram(d1.n, crossings, d1.top, bottom)
 
 
 def add_kink(d, position, sign=1):
     """Append a single-string curl at the given bottom position (1-based)."""
+    if not 1 <= position <= d.n:
+        raise DiagramError("kink position %r is outside 1..%d" % (position, d.n))
     old = d.bottom[position - 1]
     used = d._arc_string
     mid, new = old + "k", old + "kk"
     while mid in used or new in used:
         mid, new = mid + "k", new + "kk"
     crossings = list(d.crossings)
-    crossings.append(Classical(sign, mid, new, old, mid))
+    crossings.append(Crossing("x", sign, mid, new, old, mid))
     bottom = list(d.bottom)
     bottom[position - 1] = new
     return Diagram(d.n, crossings, d.top, bottom)
@@ -424,13 +384,13 @@ def linking_profile_diagram(d):
     """Tally every crossing by the strings that meet there, self-crossings included."""
     prof = LinkingProfile(d.n)
     for c in d.crossings:
-        if isinstance(c, Classical):
-            prof.vl[(d.arc_string(c.over_in), d.arc_string(c.under_in))] += c.sign
+        a = d.arc_string(c.a_in)
+        b = d.arc_string(c.b_in)
+        if c.kind == "x":
+            prof.vl[(a, b)] += c.sign
         else:
-            a = d.arc_string(c.a_in)
-            b = d.arc_string(c.b_in)
-            prof.V[(a, b)] += c.chirality
-            prof.V[(b, a)] -= c.chirality
+            prof.V[(a, b)] += c.sign
+            prof.V[(b, a)] -= c.sign
     return prof
 
 

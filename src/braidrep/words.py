@@ -57,13 +57,7 @@ class BraidWord:
         return BraidWord(self.n, self.letters + other.letters)
 
     def inverse(self):
-        inv = []
-        for lt in reversed(self.letters):
-            if lt[0] == "s":
-                inv.append(("s", lt[1], -lt[2]))
-            else:
-                inv.append(lt)
-        return BraidWord(self.n, inv)
+        return BraidWord(self.n, _invert(self.letters))
 
     def __pow__(self, k):
         k = int(k)
@@ -108,44 +102,43 @@ class BraidWord:
 
     @classmethod
     def parse(cls, text):
-        lines = text.split("\n")
-        header = None
-        body = []
-        for lineno, raw in enumerate(lines, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if header is None:
-                if not line.startswith("n="):
-                    raise WordParseError("line %d: expected 'n=<strands>' header" % lineno)
-                try:
-                    header = int(line[2:])
-                except ValueError:
-                    raise WordParseError("line %d: bad strand count %r" % (lineno, line[2:]))
-                if header < 1:
-                    raise WordParseError("line %d: strand count %d is below 1" % (lineno, header))
-            else:
-                body.extend((lineno, tok) for tok in line.split())
-        if header is None:
+        """Read a word from text: an `n=<strands>` header, then letters.
+
+        `#` starts a comment.  The header is the first token of the first
+        non-empty line; the rest of that line is body.  A body token is `k`
+        for sigma_|k|^sign(k) or `vk` for tau_k, and `[A, B]` expands to
+        A^-1 B^-1 A B; brackets may nest.  A malformed header or token is
+        reported with its line number.
+        """
+        for ch in "[],":
+            text = text.replace(ch, " %s " % ch)
+        n = None
+        # one frame per open bracket: [letters around it, A once its comma is read]
+        stack = []
+        out = []
+        for lineno, line in enumerate(text.split("\n"), 1):
+            for tok in line.split("#", 1)[0].split():
+                if n is None:
+                    n = _strand_count(tok, lineno)
+                elif tok == "[":
+                    stack.append([out, None])
+                    out = []
+                elif stack and tok == ("," if stack[-1][1] is None else "]"):
+                    frame = stack[-1]
+                    if frame[1] is None:
+                        frame[1], out = out, []
+                    else:
+                        stack.pop()
+                        a, b, out = frame[1], out, frame[0]
+                        out += _invert(a) + _invert(b) + a + b
+                else:
+                    out.append(_letter(tok, lineno))
+        if n is None:
             raise WordParseError("missing 'n=<strands>' header")
-        letters = []
-        for lineno, tok in body:
-            if tok.startswith("v"):
-                try:
-                    i = int(tok[1:])
-                except ValueError:
-                    raise WordParseError("line %d: bad token %r" % (lineno, tok))
-                letters.append(("t", i))
-            else:
-                try:
-                    k = int(tok)
-                except ValueError:
-                    raise WordParseError("line %d: bad token %r" % (lineno, tok))
-                if k == 0:
-                    raise WordParseError("line %d: generator index 0" % lineno)
-                letters.append(("s", abs(k), 1 if k > 0 else -1))
+        if stack:
+            raise WordParseError("unterminated commutator")
         try:
-            return cls(header, letters)
+            return cls(n, out)
         except ValueError as exc:
             raise WordParseError(str(exc))
 
@@ -159,6 +152,35 @@ class BraidWord:
         return "BraidWord(n=%d, %s)" % (self.n, " ".join(
             ("s%d" % lt[1] if lt[2] > 0 else "S%d" % lt[1]) if lt[0] == "s" else "t%d" % lt[1]
             for lt in self.letters) or "1")
+
+
+def _invert(letters):
+    """The letters of the inverse word."""
+    return [("s", lt[1], -lt[2]) if lt[0] == "s" else lt for lt in reversed(letters)]
+
+
+def _strand_count(tok, lineno):
+    if not tok.startswith("n="):
+        raise WordParseError("line %d: expected 'n=<strands>' header" % lineno)
+    try:
+        n = int(tok[2:])
+    except ValueError:
+        raise WordParseError("line %d: bad strand count %r" % (lineno, tok[2:]))
+    if n < 1:
+        raise WordParseError("line %d: strand count %d is below 1" % (lineno, n))
+    return n
+
+
+def _letter(tok, lineno):
+    try:
+        if tok.startswith("v"):
+            return ("t", int(tok[1:]))
+        k = int(tok)
+    except ValueError:
+        raise WordParseError("line %d: bad token %r" % (lineno, tok))
+    if k == 0:
+        raise WordParseError("line %d: generator index 0" % lineno)
+    return ("s", abs(k), 1 if k > 0 else -1)
 
 
 def commutator(a, b):

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from braidrep.cli import main
 
@@ -72,6 +73,31 @@ def test_unterminated_commutator_at_any_depth(tmp_path, capsys, depth):
     assert status == 2
     assert out == ""
     assert err == "error: unterminated commutator\n"
+
+
+@pytest.mark.parametrize("text, err", [
+    ("n=3\n\n# c\n1 2\n1 x\n", "error: line 5: bad token 'x'\n"),
+    ("\n\nn=q\n1\n", "error: line 3: bad strand count 'q'\n"),
+])
+def test_word_errors_name_the_line_in_the_file(tmp_path, capsys, text, err):
+    word = write(tmp_path, "w.braid", text)
+    assert run(capsys, "linking", "--word", word) == (2, "", err)
+
+
+WORD_TOKENS = ("n=1", "n=2", "n=3", "n=0", "n=q", "n=", "1", "-2", "0", "5",
+               "v1", "vx", "x", "[", "]", ",", "#")
+
+
+# every token is followed by whitespace, so a header never grows past n=3
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(WORD_TOKENS),
+                          st.sampled_from((" ", "\n", "\t", "\n\n"))), max_size=30))
+def test_any_word_text_exits_0_or_2(tmp_path, capsys, pairs):
+    word = write(tmp_path, "w.braid", "".join(tok + sep for tok, sep in pairs))
+    status, _, err = run(capsys, "linking", "--word", word)
+    assert status in (0, 2)
+    assert "Traceback" not in err
 
 
 def test_linking_json(tmp_path, capsys):
@@ -173,6 +199,20 @@ def test_out_of_range_exponent_in_text_is_a_parse_error(tmp_path, capsys):
                          "--spec", "t=t^2147483648")
     assert status == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_malformed_spec_text_is_a_parse_error(tmp_path, capsys):
+    word = write(tmp_path, "w.braid", "n=3\n1 -2\n")
+    status, out, err = run(capsys, "eval", "--rep", "tym", "--word", word, "--spec", "t=(t)")
+    assert (status, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_spec_with_a_non_unit_image_is_a_domain_error(tmp_path, capsys):
+    word = write(tmp_path, "w.braid", "n=3\n1 -2\n")
+    status, out, err = run(capsys, "eval", "--rep", "tym", "--word", word, "--spec", "t=2t")
+    assert (status, out) == (1, "")
+    assert "not a unit" in err
 
 
 def test_exponent_overflow_in_arithmetic_is_a_domain_error(tmp_path, capsys):

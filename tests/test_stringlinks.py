@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from braidrep.matrices import RingMatrix
 from braidrep.reps import make_tym
 from braidrep.ring import RingContext, specialize
-from braidrep.stringlinks import (MODES, Classical, Diagram, DiagramError,
+from braidrep.stringlinks import (MODES, Crossing, Diagram, DiagramError,
                                   LambdaRelation, NormalForm, add_kink,
                                   compose, ctx_for_mode, diagram_from_word,
                                   eliminate, kernel_predicate,
@@ -41,9 +41,46 @@ def test_diagram_from_word_structure():
 
 def test_diagram_validation():
     with pytest.raises(DiagramError):
-        Diagram(2, [Classical(1, "a", "b", "a", "c")], ["a", "x"], ["b", "c"])
+        Diagram(2, [Crossing("x", 1, "a", "b", "a", "c")], ["a", "x"], ["b", "c"])
     with pytest.raises(DiagramError):
         Diagram(2, [], ["a"], ["a", "b"])
+
+
+def classical(*arcs):
+    return Crossing("x", 1, *arcs)
+
+
+@pytest.mark.parametrize("n, crossings, top, bottom", [
+    # two crossings consume one arc
+    (2, [classical("a", "c", "b", "d"), classical("a", "e", "c", "f")], ["a", "b"], ["e", "f"]),
+    # two crossings produce one arc
+    (2, [classical("a", "c", "b", "d"), classical("c", "e", "d", "e")], ["a", "b"], ["e", "q"]),
+    # a crossing produces the top arc a, so the walk from a would cycle a, b, a, ...
+    (1, [classical("a", "b", "b", "a")], ["a"], ["z"]),
+    # string 2 stops at d, which is neither consumed nor at the bottom
+    (2, [classical("a", "c", "b", "d")], ["a", "b"], ["c", "e"]),
+    # a closed component next to a trivial string
+    (1, [Crossing("v", 1, "p", "q", "q", "p")], ["s"], ["s"]),
+    # a crossing consumes an arc that nothing produces
+    (1, [classical("z", "y", "w", "u")], ["s"], ["s"]),
+    # the bottom arc c is also consumed
+    (2, [classical("a", "c", "b", "d"), classical("c", "e", "d", "f")], ["a", "b"], ["c", "f"]),
+    # a repeated bottom arc
+    (2, [classical("a", "c", "b", "d")], ["a", "b"], ["c", "c"]),
+    # the wrong number of top or bottom arcs
+    (2, [], ["a"], ["a", "b"]),
+    (2, [], ["a", "b"], ["a"]),
+])
+def test_malformed_incidence_structures(n, crossings, top, bottom):
+    with pytest.raises(DiagramError):
+        Diagram(n, crossings, top, bottom)
+
+
+def test_add_kink_rejects_positions_outside_the_strings():
+    d = Diagram.trivial(3)
+    for position in (0, -1, 4):
+        with pytest.raises(DiagramError, match="kink position %d is outside 1..3" % position):
+            add_kink(d, position)
 
 
 def test_relations_sigma1_multi():
@@ -315,8 +352,8 @@ def eliminated_matrix(d, mode, correction):
     for j in range(d.n):
         s, w = nf.source[j], nf.weight[j]
         if correction:
-            k = sum(c.sign for c in d.crossings if isinstance(c, Classical)
-                    and d.arc_string(c.over_in) == s == d.arc_string(c.under_in))
+            k = sum(c.sign for c in d.crossings if c.kind == "x"
+                    and d.arc_string(c.a_in) == s == d.arc_string(c.b_in))
             u, v = ("u", "v") if mode in ("2var", "w3") else ("u%d" % s, "v%d" % s)
             w = w * (ctx.var(u) * ctx.var(v)) ** (-k)
         entries[(s - 1, j)] = w

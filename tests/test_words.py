@@ -36,6 +36,48 @@ def test_word_parse_errors():
         BraidWord.parse("n=2\nvx")
 
 
+def test_header_may_share_its_line():
+    assert BraidWord.parse("n=3 1 -2") == BraidWord.parse("n=3\n1 -2")
+
+
+TOKENS = ("1", "-1", "2", "-2", "v1", "v2")
+
+
+def token_word(tokens):
+    return BraidWord(3, [("t", int(t[1:])) if t.startswith("v")
+                         else ("s", abs(int(t)), 1 if int(t) > 0 else -1) for t in tokens])
+
+
+# a commutator factor: one letter, or an inner [C, D] of letters
+factors = st.one_of(
+    st.sampled_from(TOKENS).map(lambda t: (t, token_word([t]))),
+    st.tuples(st.lists(st.sampled_from(TOKENS), max_size=3),
+              st.lists(st.sampled_from(TOKENS), max_size=3)).map(
+        lambda cd: ("[%s, %s]" % (" ".join(cd[0]), " ".join(cd[1])),
+                    commutator(token_word(cd[0]), token_word(cd[1])))))
+
+
+def product(parts):
+    w = BraidWord.identity(3)
+    for _, part in parts:
+        w = w * part
+    return w
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(factors, max_size=4), st.lists(factors, max_size=4), st.data())
+def test_commutator_text_parses_to_commutator(a, b, data):
+    text = "n=3 [%s, %s]" % (" ".join(t for t, _ in a), " ".join(t for t, _ in b))
+    expected = commutator(product(a), product(b))
+    assert BraidWord.parse(text) == expected
+    # the same tokens over several lines, with comments and blank lines
+    gaps = st.sampled_from([" ", "\n", "\n\n", " # ] [ , x\n", "\n# c\n\n"])
+    spread = data.draw(gaps)
+    for tok in text.replace("[", " [ ").replace(",", " , ").replace("]", " ] ").split():
+        spread += tok + data.draw(gaps)
+    assert BraidWord.parse(spread) == expected
+
+
 def test_word_inverse_and_power():
     w = BraidWord(3, [("s", 1, 1), ("t", 2), ("s", 2, -1)])
     assert w.inverse().letters == (("s", 2, 1), ("t", 2), ("s", 1, -1))
