@@ -9,15 +9,13 @@ import argparse
 import json
 import sys
 
-from . import golden
 from .reps import make_burau, make_one_dim, make_tym, make_wtym
 from .ring import (ContextMismatch, NotAUnit, PolyParseError, RingContext,
                    _tokenize, specialize)
-from .stringlinks import (Diagram, DiagramError, MODES, ctx_for_mode,
-                          diagram_from_word, eliminate, kernel_predicate,
-                          linking_profile_diagram, tym_matrix)
+from .stringlinks import (Diagram, DiagramError, MODES, diagram_from_word,
+                          kernel_predicate, linking_profile_diagram, tym_matrix)
 from .words import BraidWord, WordParseError
-from . import longmoody
+from . import longmoody, reproduce
 
 
 class CliError(Exception):
@@ -100,8 +98,8 @@ def _make_rep(name, n, ring=None):
         ctx = ring if ring is not None else RingContext(("t",))
         try:
             r = ctx.parse(name.split(":", 1)[1])
-        except PolyParseError as exc:
-            raise CliError("bad unit for onedim: %s" % exc, 2)
+        except (PolyParseError, KeyError) as exc:
+            raise CliError("bad unit for onedim: %s" % exc.args[0], 2)
         if not r.is_unit():
             raise CliError("onedim scalar must be a unit monomial", 1)
         return make_one_dim(n, r)
@@ -121,6 +119,9 @@ def cmd_eval(args, out):
             if "=" not in item:
                 raise CliError("bad --spec item %r, expected var=poly" % item, 2)
             var, text = item.split("=", 1)
+            if var not in rep.ring.variables:
+                raise CliError("--spec variable %r is not in the ring of %s %r"
+                               % (var, args.rep, rep.ring.variables), 2)
             images[var] = text
         # the target context keeps unspecialized variables and gains any
         # variables mentioned on the right hand sides
@@ -131,7 +132,7 @@ def cmd_eval(args, out):
         try:
             full = {v: target.parse(images.get(v, v)) for v in rep.ring.variables}
             m = m.map_entries(lambda p: specialize(p, full, target), ring=target)
-        except (PolyParseError, KeyError) as exc:
+        except PolyParseError as exc:
             raise CliError(str(exc), 2)
         except (NotAUnit, ContextMismatch) as exc:
             raise CliError(str(exc), 1)
@@ -216,144 +217,14 @@ def cmd_lm_kernel_words(args, out):
     return 0
 
 
-def _reproduce_checks(full):
-    def check_generators():
-        tctx = RingContext(("t",))
-        t = tctx.var("t")
-        ok = True
-        for n in range(2, 8):
-            bur = make_burau(n, t)
-            tym = make_tym(n)
-            wt = make_wtym(n)
-            for i in range(1, n):
-                b = bur.sigma_images[i]
-                ok = ok and b[i - 1, i - 1].is_zero() and b[i - 1, i] == t
-                ok = ok and b[i, i - 1].is_one() and b[i, i] == tctx.one() - t
-                m = tym.sigma_images[i]
-                ok = ok and m[i - 1, i].is_one() and m[i, i - 1] == tym.ring.var("t")
-                w = wt.sigma_images[i]
-                ok = ok and w[i - 1, i] == wt.ring.var("u") and w[i, i - 1] == wt.ring.var("v")
-                v = wt.tau_images[i]
-                ok = ok and v[i - 1, i] == wt.ring.var("al").inverse()
-                ok = ok and v[i, i - 1] == wt.ring.var("al")
-                for k in range(n):
-                    if k not in (i - 1, i):
-                        ok = ok and b[k, k].is_one() and m[k, k].is_one()
-        return ok
-
-    def check_specialized():
-        w = BraidWord(3, [("s", 1, 1), ("s", 2, -1)])
-        m = tym_matrix(diagram_from_word(w), "multi")
-        tctx = RingContext(("t",))
-        images = {}
-        for v in m.ring.variables:
-            images[v] = tctx.one() if v.startswith("u") else tctx.var("t")
-        got = m.map_entries(lambda p: specialize(p, images, tctx), ring=tctx)
-        return got == golden.specialized_31_matrix()
-
-    def check_elimination():
-        from .stringlinks import LambdaRelation, NormalForm
-        ctx = ctx_for_mode("2var", 2)
-        u, v = ctx.var("u"), ctx.var("v")
-        rels = [
-            LambdaRelation("m1", "m3", u),
-            LambdaRelation("a1", "m2", v),
-            LambdaRelation("m4", "a2", u),
-            LambdaRelation("x2", "m3", v),
-            LambdaRelation("m2", "x1", u),
-            LambdaRelation("m4", "m1", v),
-        ]
-        nf = eliminate(rels, ["a1", "a2"], ["x1", "x2"])
-        return nf == NormalForm(2, [1, 2], [u * v, ctx.one()])
-
-    def check_ex311():
-        w = BraidWord(2, [("s", 1, 1), ("s", 1, 1)])
-        return tym_matrix(diagram_from_word(w), "multi") == golden.ex311_matrix()
-
-    def check_ex312():
-        s1 = BraidWord(3, [("s", 1, 1)])
-        s2i = BraidWord(3, [("s", 2, -1)])
-        prod = s1 * s2i
-        ok = tym_matrix(diagram_from_word(s1), "multi") == golden.ex312_matrix("sigma1")
-        ok = ok and tym_matrix(diagram_from_word(s2i), "multi") == golden.ex312_matrix("sigma2inv")
-        ok = ok and tym_matrix(diagram_from_word(prod), "multi") == golden.ex312_matrix("product")
-        twisted = golden.ex312_matrix("sigma2inv").variable_twist(s1.permutation())
-        ok = ok and golden.ex312_matrix("sigma1") * twisted == golden.ex312_matrix("product")
-        return ok
-
-    def check_lm9():
-        rep = longmoody.lm_semidirect(longmoody.make_eta(3), q_twist=True)
-        return (rep.sigma_images[1] == golden.lm9_sigma(1)
-                and rep.sigma_images[2] == golden.lm9_sigma(2))
-
-    def check_lm12():
-        rep = longmoody.lm_q(make_tym(4, golden.TQ))
-        return all(rep.sigma_images[i] == longmoody.block_formula_lm_q_tym(3, i)
-                   for i in (1, 2))
-
-    def check_reduced6():
-        rep = longmoody.reduced_lm3()
-        w1 = BraidWord(3, [("s", 1, 1), ("s", 2, 1), ("s", 1, 1)])
-        w2 = BraidWord(3, [("s", 2, 1), ("s", 1, 1), ("s", 2, 1)])
-        return rep.evaluate(w1) == rep.evaluate(w2) and not rep.check_relations()
-
-    def check_decompose():
-        return all(longmoody.decompose_check(n)["ok"] for n in (2, 3))
-
-    def check_trivial_burau():
-        return all(longmoody.identify_trivial_burau(n)[1] for n in (2, 3))
-
-    def check_probe():
-        rep = longmoody.reduced_lm3()
-        rpt = longmoody.irreducibility_probe(rep, p=10007, trials=5, seed=0)
-        neg = longmoody.irreducibility_probe(
-            make_burau(3, RingContext(("t",)).var("t")), p=10007, trials=3, seed=0)
-        return rpt["full"] and neg["dimension"] < 9
-
-    def check_intertwining():
-        return not longmoody.intertwining_check(make_tym(4))
-
-    checks = [
-        ("generator matrices", check_generators),
-        ("specialized three strand matrix", check_specialized),
-        ("two variable elimination", check_elimination),
-        ("two string diagonal invariant", check_ex311),
-        ("multi variable matrices and twisted product", check_ex312),
-        ("nine dimensional construction", check_lm9),
-        ("twelve dimensional block formula", check_lm12),
-        ("reduced six dimensional images", check_reduced6),
-        ("decomposition n=2,3", check_decompose),
-        ("trivial source gives Burau at q^2", check_trivial_burau),
-        ("irreducibility probe", check_probe),
-        ("intertwining identity", check_intertwining),
-    ]
-    if full:
-        def check_kernel_words():
-            rpt = longmoody.kernel_experiment()
-            return all(r["burau_identity"] and r["lm_identity"]
-                       and not r["t1lm_identity"] for r in rpt.values())
-        checks.append(("kernel word experiment", check_kernel_words))
-    return checks
-
-
 def cmd_paper_reproduce(args, out):
-    status = 0
-    results = []
-    for name, fn in _reproduce_checks(args.full):
-        try:
-            ok = fn()
-        except Exception as exc:
-            ok = False
-            name = "%s (error: %s)" % (name, exc)
-        results.append({"check": name, "result": "PASS" if ok else "FAIL"})
-        if not ok:
-            status = 1
+    results = reproduce.run(args.full)
     if args.format == "json":
         out.write(json.dumps(results, indent=2) + "\n")
     else:
         for r in results:
             out.write("%-45s %s\n" % (r["check"], r["result"]))
-    return status
+    return 0 if all(r["result"] == "PASS" for r in results) else 1
 
 
 def build_parser():

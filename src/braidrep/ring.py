@@ -572,15 +572,16 @@ def _parse_poly(ctx, text):
             raise PolyParseError("dangling sign in %r" % text)
         if not first and tokens[i][0] not in ("int", "name"):
             raise PolyParseError("expected term in %r" % text)
+        # a factor follows '*' or is juxtaposed: "2t" is 2*t, "t t" is t^2
         coeff = 1
         exps = [0] * ctx.arity
         expect_factor = True
         while i < n:
             kind, val = tokens[i]
-            if kind == "int" and expect_factor:
+            if kind == "int":
                 coeff *= val
                 i += 1
-            elif kind == "name" and expect_factor:
+            elif kind == "name":
                 idx = ctx.index(val)
                 power = 1
                 i += 1

@@ -150,7 +150,8 @@ class Diagram:
         if n is None:
             raise DiagramError("missing 'strands' line")
         top, bottom = ends["top"], ends["bottom"]
-        if sorted(top) != list(range(1, n + 1)) or sorted(bottom) != list(range(1, n + 1)):
+        # positions are distinct keys, so n of them inside 1..n cover 1..n
+        if any(len(e) != n or not all(1 <= s <= n for s in e) for e in (top, bottom)):
             raise DiagramError("top/bottom positions must cover 1..%d" % n)
         return cls(n, crossings, [top[s] for s in range(1, n + 1)],
                    [bottom[s] for s in range(1, n + 1)])

@@ -9,7 +9,6 @@ runtime budget.
 import random
 import time
 
-from braidrep import golden
 from braidrep.longmoody import (decompose_check, identify_trivial_burau,
                                 intertwining_check, irreducibility_probe,
                                 kernel_experiment, lm_q, lm_semidirect,

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from braidrep import reproduce
 from braidrep.cli import main
 
 
@@ -21,9 +22,16 @@ def write(tmp_path, name, text):
 def test_eval_tym_specialized(tmp_path, capsys):
     word = write(tmp_path, "w.braid", "n=3\n1 -2\n")
     status, out, _ = run(capsys, "eval", "--rep", "tym", "--word", word,
-                         "--spec", "u=1", "v=t")
+                         "--spec", "t=-1")
     assert status == 0
-    assert out.splitlines() == ["3 3", "0;0;t^-1", "t;0;0", "0;1;0"]
+    assert out.splitlines() == ["3 3", "0;0;-1", "-1;0;0", "0;1;0"]
+
+
+def test_spec_variable_outside_the_ring_is_a_parse_error(tmp_path, capsys):
+    word = write(tmp_path, "w.braid", "n=3\n1 -2\n")
+    status, out, err = run(capsys, "eval", "--rep", "tym", "--word", word, "--spec", "u=1")
+    assert (status, out) == (2, "")
+    assert "'u'" in err and "Traceback" not in err
 
 
 def test_invariant_multi(tmp_path, capsys):
@@ -158,6 +166,13 @@ def test_malformed_diagram_line_is_a_parse_error(tmp_path, capsys, line, bad):
     assert err.startswith("error: line") and "Traceback" not in err
 
 
+def test_huge_strand_count_in_a_diagram_is_rejected(tmp_path, capsys):
+    diagram = write(tmp_path, "d.diag", "strands 1000000000\ntop 1 a\nbottom 1 a\n")
+    status, out, err = run(capsys, "invariant", "--mode", "multi", "--diagram", diagram)
+    assert (status, out) == (2, "")
+    assert err == "error: top/bottom positions must cover 1..1000000000\n"
+
+
 def test_lm_decompose(capsys):
     status, out, _ = run(capsys, "lm", "decompose", "--n", "2")
     assert status == 0
@@ -184,6 +199,21 @@ def test_paper_reproduce(capsys):
     assert status == 0
     lines = [ln for ln in out.splitlines() if ln.strip()]
     assert lines and all(ln.endswith("PASS") for ln in lines)
+
+
+def test_paper_reproduce_reports_a_check_that_raises(capsys, monkeypatch):
+    def boom():
+        raise RuntimeError("boom")
+    checks = list(reproduce.CHECKS)
+    name = checks[2][0]
+    checks[2] = (name, boom)
+    monkeypatch.setattr(reproduce, "CHECKS", checks)
+    status, out, _ = run(capsys, "paper", "reproduce")
+    assert status == 1
+    lines = out.splitlines()
+    assert len(lines) == len(reproduce.CHECKS)
+    assert lines[2] == "%-45s FAIL" % ("%s (error: boom)" % name)
+    assert all(ln.endswith("PASS") for i, ln in enumerate(lines) if i != 2)
 
 
 def test_determinism(tmp_path, capsys):
@@ -213,6 +243,37 @@ def test_spec_with_a_non_unit_image_is_a_domain_error(tmp_path, capsys):
     status, out, err = run(capsys, "eval", "--rep", "tym", "--word", word, "--spec", "t=2t")
     assert (status, out) == (1, "")
     assert "not a unit" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--rep", "onedim:x"),
+    ("lm", "build", "--source", "onedim:q", "--n", "3"),
+])
+def test_unknown_name_in_onedim_is_a_parse_error(tmp_path, capsys, argv):
+    word = write(tmp_path, "w.braid", "n=2\n1\n")
+    argv = argv + ("--word", word) if argv[0] == "eval" else argv
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert err.startswith("error: bad unit for onedim: variable '")
+
+
+POLY_TOKENS = ("t", "q", "x", "u1", "0", "1", "2", "-1", "2147483648", "^", "*",
+               "+", "-", "(", " ", "=")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from(POLY_TOKENS), max_size=12).map("".join),
+       st.sampled_from(("spec", "onedim")))
+def test_any_polynomial_text_exits_0_1_or_2(tmp_path, capsys, text, where):
+    word = write(tmp_path, "w.braid", "n=3\n1 -2 1\n")
+    if where == "spec":
+        argv = ("eval", "--rep", "burau", "--word", word, "--spec", "t=" + text)
+    else:
+        argv = ("eval", "--rep", "onedim:" + text, "--word", word)
+    status, _, err = run(capsys, *argv)
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err
 
 
 def test_exponent_overflow_in_arithmetic_is_a_domain_error(tmp_path, capsys):

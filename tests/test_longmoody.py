@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from braidrep import golden
+from braidrep import reproduce
 from braidrep.longmoody import (WITNESS_PRIME, _identity_verdict,
                                 block_formula_lm_q_tym, check_semidirect,
                                 decompose_check, identify_trivial_burau,
@@ -122,8 +122,8 @@ def test_eta_compatibility():
 
 def test_lm_semidirect_nine_dimensional_golden():
     rep = lm_semidirect(make_eta(3), q_twist=True)
-    assert rep.sigma_images[1] == golden.lm9_sigma(1)
-    assert rep.sigma_images[2] == golden.lm9_sigma(2)
+    assert rep.sigma_images[1] == reproduce.lm9_sigma(1)
+    assert rep.sigma_images[2] == reproduce.lm9_sigma(2)
     assert rep.check_relations() == []
 
 

@@ -47,6 +47,10 @@ def test_const_and_int_coercion():
     assert t + 1 == T.parse("t + 1")
     assert 1 - t == T.parse("1 - t")
     assert t * 2 == T.parse("2*t")
+    # juxtaposed factors multiply
+    assert t * 2 == T.parse("2t")
+    assert t ** 2 == T.parse("t t")
+    assert T.const(6) == T.parse("2 3")
     assert T.const(0).is_zero()
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidrep.matrices import RingMatrix
-from braidrep.reps import make_tym
+from braidrep.reps import make_tym, make_wtym
 from braidrep.ring import RingContext, specialize
 from braidrep.stringlinks import (MODES, Crossing, Diagram, DiagramError,
                                   LambdaRelation, NormalForm, add_kink,
@@ -318,6 +318,22 @@ def test_welded_specialization_recovers_wtym():
             images[v] = ctx3.var(v.rstrip("123"))
         collapsed = m.map_entries(lambda p: specialize(p, images, ctx3), ring=ctx3)
         assert collapsed == tym_matrix(d, "w3")
+
+
+def test_invariant_restricts_to_tym_on_braids():
+    # on braid diagrams the string link invariant is (w)TYM: w3 is wTYM,
+    # and 2var at u -> 1, v -> t is TYM
+    rng = random.Random(53)
+    t_ctx = RingContext(("t",))
+    for _ in range(20):
+        n = rng.randrange(2, 6)
+        w = random_word(rng, n, rng.randrange(0, 15), virtual=True)
+        assert make_wtym(n).evaluate(w) == tym_matrix(diagram_from_word(w), "w3")
+        w = random_word(rng, n, rng.randrange(0, 15))
+        m = tym_matrix(diagram_from_word(w), "2var")
+        images = {"u": t_ctx.one(), "v": t_ctx.var("t")}
+        got = m.map_entries(lambda p: specialize(p, images, t_ctx), ring=t_ctx)
+        assert make_tym(n).evaluate(w) == got
 
 
 @st.composite
