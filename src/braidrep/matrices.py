@@ -204,35 +204,21 @@ class RingMatrix:
 
     def is_monomial(self):
         """Exactly one nonzero unit entry per row and per column."""
-        if not self.is_square():
-            return False
-        seen_cols = set()
-        for i in range(self.rows):
-            nz = [(j, e) for j, e in enumerate(self.row(i)) if not e.is_zero()]
-            if len(nz) != 1:
-                return False
-            j, e = nz[0]
-            if j in seen_cols or not e.is_unit():
-                return False
-            seen_cols.add(j)
-        return True
+        return _monomial_rows(self) is not None
 
     def monomial_inverse(self):
         """Inverse of a monomial matrix (unit entries, permutation support)."""
         if not self.is_square():
             raise ShapeMismatch("inverse of a non-square matrix")
+        rows = _monomial_rows(self)
+        if rows is None:
+            raise NotAUnit("matrix is not monomial")
         n = self.rows
-        zero = self.ring.zero()
-        flat = [zero] * (n * n)
-        seen_cols = set()
-        for i in range(n):
-            nz = [(j, e) for j, e in enumerate(self.row(i)) if not e.is_zero()]
-            if len(nz) != 1 or nz[0][0] in seen_cols:
-                raise NotAUnit("matrix is not monomial")
-            j, e = nz[0]
-            seen_cols.add(j)
-            flat[j * n + i] = e.inverse()
-        return RingMatrix(self.ring, n, n, flat)
+        ctx = self.ring
+        flat = [ctx.zero()] * (n * n)
+        for i, (j, key, coeff, bound) in enumerate(rows):
+            flat[j * n + i] = LaurentPoly._raw(ctx, {-key: coeff}, bound)
+        return RingMatrix(ctx, n, n, flat)
 
     def determinant(self):
         """Exact determinant by cofactor expansion with column-subset memoisation.
@@ -353,6 +339,32 @@ class RingMatrix:
 
     def __repr__(self):
         return "RingMatrix(%dx%d over %r)" % (self.rows, self.cols, self.ring)
+
+
+def _monomial_rows(m):
+    """The lone entry of each row of a monomial matrix, or None.
+
+    For a square matrix with exactly one nonzero entry per row, each a unit
+    (+-1 times a monomial) and no two in the same column, returns one
+    (column, key, coeff, bound) per row: the entry is coeff * (the monomial
+    of `key`) and `bound` is its exponent bound.  Returns None for every
+    other matrix.
+    """
+    if not m.is_square():
+        return None
+    out = []
+    seen = set()
+    for i in range(m.rows):
+        nz = [(j, e) for j, e in enumerate(m.row(i)) if e.terms]
+        if len(nz) != 1:
+            return None
+        j, e = nz[0]
+        if j in seen or not e.is_unit():
+            return None
+        seen.add(j)
+        ((key, coeff),) = e.terms.items()
+        out.append((j, key, coeff, e._bound))
+    return out
 
 
 def direct_sum(blocks, ring=None):

@@ -1,8 +1,8 @@
 """Matrix representations of braid and welded braid groups given by generator images."""
 from __future__ import annotations
 
-from .matrices import RingMatrix
-from .ring import RingContext
+from .matrices import RingMatrix, _monomial_rows
+from .ring import EXP_MAX, LaurentPoly, RingContext
 from .words import BraidWord
 
 
@@ -11,10 +11,13 @@ class GenRep:
 
     sigma_images and sigma_inv_images map 1-based generator index to a
     RingMatrix; tau_images may be None for classical-only representations.
+    When every image is monomial (one unit entry per row and per column),
+    words are evaluated by adding monomial keys instead of multiplying
+    matrices; the images themselves decide, on first use.
     """
 
     __slots__ = ("n", "dim", "ring", "sigma_images", "sigma_inv_images",
-                 "tau_images", "name")
+                 "tau_images", "name", "_monomial")
 
     def __init__(self, n, dim, ring, sigma_images, sigma_inv_images,
                  tau_images=None, name=""):
@@ -25,6 +28,7 @@ class GenRep:
         self.sigma_inv_images = dict(sigma_inv_images)
         self.tau_images = dict(tau_images) if tau_images is not None else None
         self.name = name
+        self._monomial = None
         for i in range(1, n):
             if i not in self.sigma_images or i not in self.sigma_inv_images:
                 raise ValueError("missing image for generator %d" % i)
@@ -40,11 +44,56 @@ class GenRep:
     def evaluate(self, word):
         if word.n != self.n:
             raise ValueError("word on %d strands, representation on %d" % (word.n, self.n))
+        table = self._monomial_table()
+        if word.letters and table:
+            out = self._monomial_product(table, word.letters)
+            if out is not None:
+                return out
         out = None
         for lt in word.letters:
             m = self.letter_image(lt)
             out = m if out is None else out * m
         return out if out is not None else RingMatrix.identity(self.ring, self.dim)
+
+    def _monomial_table(self):
+        """Each letter's image as one (column, key, coeff, bound) per row.
+
+        Built once; an empty table when some image is not monomial.
+        """
+        if self._monomial is None:
+            images = {("s", i, 1): m for i, m in self.sigma_images.items()}
+            images.update((("s", i, -1), m) for i, m in self.sigma_inv_images.items())
+            images.update((("t", i), m) for i, m in (self.tau_images or {}).items())
+            rows = {lt: _monomial_rows(m) for lt, m in images.items()}
+            self._monomial = {} if None in rows.values() else rows
+        return self._monomial
+
+    def _monomial_product(self, table, letters):
+        """The product of the letters' monomial images, by key addition.
+
+        Row i of the running product is one (column, key, coeff, bound), so
+        a letter costs one lookup, key addition and sign product per row.
+        Keys add exactly while every exponent stays within EXP_MAX, which
+        the summed bounds guarantee; returns None when they cannot, and
+        for a letter with no table entry, leaving both to the dense product.
+        """
+        try:
+            rows = table[letters[0]]
+            for lt in letters[1:]:
+                img = table[lt]
+                rows = [(c2, k + k2, s * s2, b + b2)
+                        for c, k, s, b in rows for c2, k2, s2, b2 in (img[c],)]
+        except KeyError:
+            return None
+        if max((b for _, _, _, b in rows), default=0) > EXP_MAX:
+            return None
+        d = self.dim
+        ctx = self.ring
+        raw = LaurentPoly._raw
+        flat = [ctx.zero()] * (d * d)
+        for i, (c, k, s, b) in enumerate(rows):
+            flat[i * d + c] = raw(ctx, {k: s}, b)
+        return RingMatrix(ctx, d, d, flat)
 
     def check_relations(self):
         """Verify the defining relations of the (welded) braid group.

@@ -539,7 +539,12 @@ def _tokenize(text):
             break
         pos = m.end()
         if m.group(1):
-            out.append(("int", int(m.group(1))))
+            try:
+                out.append(("int", int(m.group(1))))
+            except ValueError:
+                # longer than the interpreter's limit on integer conversion
+                raise PolyParseError("integer literal of %d digits at offset %d is too long"
+                                     % (len(m.group(1)), m.start(1))) from None
         elif m.group(2):
             out.append(("name", m.group(2)))
         elif m.group(3):
@@ -597,6 +602,8 @@ def _parse_poly(ctx, text):
                     i += 1
                 exps[idx] += power
             elif kind == "mul":
+                if expect_factor:
+                    raise PolyParseError("'*' without a factor before it in %r" % text)
                 expect_factor = True
                 i += 1
                 continue

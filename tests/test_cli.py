@@ -5,6 +5,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from braidrep import reproduce
 from braidrep.cli import main
+from braidrep.stringlinks import MODES, diagram_from_word
+from braidrep.words import BraidWord
 
 
 def run(capsys, *argv):
@@ -166,6 +168,47 @@ def test_malformed_diagram_line_is_a_parse_error(tmp_path, capsys, line, bad):
     assert err.startswith("error: line") and "Traceback" not in err
 
 
+DIAGRAM_TOKENS = ("strands", "top", "bottom", "x", "v", "+", "-", "0", "1", "2", "3",
+                  "-1", "t1", "t2", "m1", "m2", "m3", "#")
+DIAGRAM_COMMANDS = [("invariant", "--mode", mode) for mode in MODES]
+DIAGRAM_COMMANDS += [("linking",)]
+DIAGRAM_COMMANDS += [("kernel-check", "--thm", thm) for thm in ("318", "319", "48", "49")]
+
+
+@st.composite
+def diagram_text(draw):
+    """The text of the diagram of a random word, with random lines dropped or inserted."""
+    n = draw(st.integers(1, 3))
+    letter = st.tuples(st.just("s"), st.integers(1, n - 1), st.sampled_from((1, -1)))
+    letter = st.one_of(letter, st.tuples(st.just("t"), st.integers(1, n - 1)))
+    d = diagram_from_word(BraidWord(n, draw(st.lists(letter, max_size=4)) if n > 1 else ()))
+    lines = ["strands %d" % n]
+    lines += ["top %d %s" % (s, arc) for s, arc in enumerate(d.top, 1)]
+    lines += ["bottom %d %s" % (s, arc) for s, arc in enumerate(d.bottom, 1)]
+    lines += ["%s %s %s %s %s %s" % (c.kind, "+-"[c.sign < 0], c.a_in, c.a_out, c.b_in, c.b_out)
+              for c in d.crossings]
+    junk = st.lists(st.sampled_from(DIAGRAM_TOKENS), max_size=6).map(" ".join)
+    for at, line in draw(st.lists(st.tuples(st.integers(0, 20), st.none() | junk), max_size=3)):
+        at %= len(lines) + 1
+        if line is not None:
+            lines.insert(at, line)
+        elif at < len(lines):
+            del lines[at]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(diagram_text(), st.sampled_from(DIAGRAM_COMMANDS))
+def test_any_diagram_text_exits_0_1_or_2(tmp_path, capsys, text, argv):
+    diagram = write(tmp_path, "d.diag", text)
+    status, out, err = run(capsys, *argv, "--diagram", diagram)
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err
+    if status:
+        assert out == "" and err.startswith("error:")
+
+
 def test_huge_strand_count_in_a_diagram_is_rejected(tmp_path, capsys):
     diagram = write(tmp_path, "d.diag", "strands 1000000000\ntop 1 a\nbottom 1 a\n")
     status, out, err = run(capsys, "invariant", "--mode", "multi", "--diagram", diagram)
@@ -274,6 +317,17 @@ def test_any_polynomial_text_exits_0_1_or_2(tmp_path, capsys, text, where):
     status, _, err = run(capsys, *argv)
     assert status in (0, 1, 2)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--rep", "burau", "--spec", "t=" + "1" * 5000),
+    ("--rep", "onedim:" + "1" * 5000 + "*t"),
+])
+def test_integer_literal_past_the_conversion_limit_is_a_parse_error(tmp_path, capsys, argv):
+    word = write(tmp_path, "w.braid", "n=3\n1 -2 1\n")
+    status, out, err = run(capsys, "eval", "--word", word, *argv)
+    assert (status, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_exponent_overflow_in_arithmetic_is_a_domain_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidrep.matrices import RingMatrix
 from braidrep.reps import (GenRep, make_burau, make_one_dim, make_tym,
@@ -11,6 +12,7 @@ from braidrep.words import BraidWord, commutator
 from test_words import random_word
 
 T = RingContext(("t",))
+TQ = RingContext(("t", "q"))
 
 
 def test_burau_generator_block():
@@ -150,3 +152,47 @@ def test_pure_commutators_in_tym_kernel():
         a = random_pure_word(rng, 3, 6)
         b = random_pure_word(rng, 3, 6)
         assert tym.evaluate(commutator(a, b)).is_identity()
+
+
+# every representation here but burau has monomial generator images
+REPS = {
+    "tym": make_tym,
+    "wtym": make_wtym,
+    "onedim": lambda n: make_one_dim(n, TQ.var("q")),
+    "tym*onedim": lambda n: tensor_one_dim(make_tym(n, TQ), -TQ.var("q")),
+    "burau": lambda n: make_burau(n, T.var("t")),
+}
+
+
+@st.composite
+def rep_and_word(draw):
+    name = draw(st.sampled_from(sorted(REPS)))
+    n = draw(st.integers(2, 8))
+    index = st.integers(1, n - 1)
+    letter = st.tuples(st.just("s"), index, st.sampled_from((1, -1)))
+    if name == "wtym":
+        letter = st.one_of(letter, st.tuples(st.just("t"), index))
+    return REPS[name](n), BraidWord(n, draw(st.lists(letter, max_size=80)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(rep_and_word())
+def test_evaluate_is_the_product_of_the_letter_images(rep_word):
+    rep, word = rep_word
+    expect = RingMatrix.identity(rep.ring, rep.dim)
+    for lt in word.letters:
+        expect = expect * rep.letter_image(lt)
+    assert rep.evaluate(word) == expect
+
+
+def test_monomial_path_is_chosen_from_the_images():
+    for name, make in REPS.items():
+        assert bool(make(4)._monomial_table()) == (name != "burau")
+
+
+def test_monomial_bound_overflow_falls_back_to_the_dense_product():
+    rep = tensor_one_dim(make_tym(3, T), T.var("t", 2 ** 30))
+    # the summed exponent bounds pass EXP_MAX, the exponents do not
+    assert rep.evaluate(BraidWord(3, [("s", 1, 1), ("s", 1, -1)])).is_identity()
+    with pytest.raises(OverflowError):
+        rep.evaluate(BraidWord(3, [("s", 1, 1), ("s", 1, 1)]))

@@ -46,7 +46,7 @@ def test_const_and_int_coercion():
     t = T.var("t")
     assert t + 1 == T.parse("t + 1")
     assert 1 - t == T.parse("1 - t")
-    assert t * 2 == T.parse("2*t")
+    assert t * 2 == T.parse("2*t") == T.parse("t*2")
     # juxtaposed factors multiply
     assert t * 2 == T.parse("2t")
     assert t ** 2 == T.parse("t t")
@@ -71,6 +71,10 @@ def test_parse_errors():
         T.parse("")
     with pytest.raises(PolyParseError):
         T.parse("t +")
+    # a '*' needs a factor on each side
+    for text in ("*t", "t**t", "2**3"):
+        with pytest.raises(PolyParseError):
+            T.parse(text)
     with pytest.raises(KeyError):
         T.parse("x")
 
