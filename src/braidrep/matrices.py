@@ -64,7 +64,7 @@ class Permutation:
 class RingMatrix:
     """Row-major dense matrix over a single ring context."""
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "entries", "_plan")
 
     def __init__(self, ring, rows, cols, entries):
         entries = tuple(entries)
@@ -74,6 +74,7 @@ class RingMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
+        self._plan = None
 
     @classmethod
     def from_rows(cls, ring, rows):
@@ -148,24 +149,74 @@ class RingMatrix:
             raise ShapeMismatch("%dx%d times %dx%d" % (self.rows, self.cols, other.rows, other.cols))
         if self.ring != other.ring:
             raise ContextMismatch("matrices over different rings")
+        copies, shifts, scols, srows, sbrows, sbound = other._column_plan()
         ctx = self.ring
         n, m, l = self.rows, self.cols, other.cols
-        brows = [other.entries[j * l:(j + 1) * l] for j in range(m)]
-        bterms = [[(k, b.terms) for k, b in enumerate(row) if b.terms] for row in brows]
-        bbound = max((b._bound for b in other.entries), default=0)
         raw = LaurentPoly._raw
-        zero = ctx.zero()
+        zeros = [ctx.zero()] * l
         flat = []
         for i in range(n):
             arow = self.entries[i * m:(i + 1) * m]
-            # one exponent bound for the whole row of the product
-            bound = max((a._bound for a in arow), default=0) + bbound
-            if bound > EXP_MAX:
-                bound = max((_product_bound(a, b) for a, row in zip(arow, brows) for b in row),
-                            default=0)
-            flat.extend(raw(ctx, d, bound) if d else zero
-                        for d in _row_products([a.terms for a in arow], bterms, l))
-        return RingMatrix(self.ring, n, l, flat)
+            out = zeros[:]
+            for k, j in copies:
+                out[k] = arow[j]
+            for k, j, b, kb, cb in shifts:
+                a = arow[j]
+                if a.terms:
+                    bound = a._bound + b._bound
+                    if bound > EXP_MAX:
+                        bound = _product_bound(a, b)
+                    out[k] = raw(ctx, {ka + kb: ca * cb for ka, ca in a.terms.items()}, bound)
+            if scols:
+                # one exponent bound for the sum columns of this row
+                bound = max(arow[j]._bound for j in srows) + sbound
+                if bound > EXP_MAX:
+                    bound = max(_product_bound(arow[j], other.entries[j * l + k])
+                                for j in srows for k in scols)
+                prods = _row_products([arow[j].terms for j in srows], sbrows, len(scols))
+                for k, d in zip(scols, prods):
+                    if d:
+                        out[k] = raw(ctx, d, bound)
+            flat.extend(out)
+        return RingMatrix(ctx, n, l, flat)
+
+    def _column_plan(self):
+        """How each column of this matrix is read as the right factor of a product.
+
+        Built on first use and kept.  A column with no nonzero entry gives
+        a zero column.  A column whose lone nonzero entry is 1, at row j,
+        shares column j of the left factor: (k, j) in `copies`.  A column
+        whose lone nonzero entry b, at row j, is the single term cb * (the
+        monomial of key kb) adds kb to every key of column j:
+        (k, j, b, kb, cb) in `shifts`.  The other columns, listed in
+        `scols`, are sums: `srows` lists the rows j with a nonzero entry in
+        one of them, `sbrows` holds [(position in scols, term map)] for
+        each such row, and `sbound` is the largest exponent bound of those
+        entries.
+        """
+        if self._plan is None:
+            l = self.cols
+            copies, shifts, scols = [], [], []
+            sbrows = [[] for _ in range(self.rows)]
+            sbound = 0
+            for k in range(l):
+                col = [(j, b) for j, b in enumerate(self.entries[k::l]) if b.terms]
+                if len(col) == 1 and len(col[0][1].terms) == 1:
+                    j, b = col[0]
+                    if b.is_one():
+                        copies.append((k, j))
+                    else:
+                        ((kb, cb),) = b.terms.items()
+                        shifts.append((k, j, b, kb, cb))
+                elif col:
+                    for j, b in col:
+                        sbrows[j].append((len(scols), b.terms))
+                        sbound = max(sbound, b._bound)
+                    scols.append(k)
+            srows = [j for j, brow in enumerate(sbrows) if brow]
+            sbrows = [sbrows[j] for j in srows]
+            self._plan = (copies, shifts, scols, srows, sbrows, sbound)
+        return self._plan
 
     def __add__(self, other):
         if not isinstance(other, RingMatrix):
@@ -191,15 +242,16 @@ class RingMatrix:
         if not self.is_square():
             raise ShapeMismatch("power of a non-square matrix")
         k = int(k)
-        if k < 0:
-            return self.monomial_inverse() ** (-k)
-        result = RingMatrix.identity(self.ring, self.rows)
-        base = self
-        while k:
-            if k & 1:
+        if k == 0:
+            return RingMatrix.identity(self.ring, self.rows)
+        base = self.inverse() if k < 0 else self
+        # left-to-right binary powering: floor(log2 |k|) squarings and
+        # popcount(|k|) - 1 further products by `base`
+        result = base
+        for bit in bin(abs(k))[3:]:
+            result = result * result
+            if bit == "1":
                 result = result * base
-            base = base * base
-            k >>= 1
         return result
 
     def is_monomial(self):

@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidrep.matrices import (Permutation, RingMatrix, ShapeMismatch,
                                direct_sum)
-from braidrep.ring import NotAUnit, RingContext
+from braidrep.reps import make_burau
+from braidrep.ring import EXP_MAX, NotAUnit, RingContext
 
 T = RingContext(("t",))
+TUV = RingContext(("t", "u", "v"))
 
 
 def tmat(rows):
@@ -25,6 +28,8 @@ def test_multiplication():
     assert b[0, 0] == t
     assert b[1, 1] == T.parse("1 - t + t^2")
     assert a * RingMatrix.identity(T, 2) == a
+    # a column that is a lone 1 shares the left factor's polynomials
+    assert all(x is y for x, y in zip((a * RingMatrix.identity(T, 2)).entries, a.entries))
 
 
 def test_shape_errors():
@@ -64,6 +69,85 @@ def test_power():
     assert m ** 2 == tmat([[t, 0], [0, t]])
     assert m ** -1 == m.monomial_inverse()
     assert m ** 0 == RingMatrix.identity(T, 2)
+
+
+def test_negative_power_of_a_non_monomial_matrix():
+    bur = make_burau(3, T.var("t"))
+    s, s_inv = bur.sigma_images[1], bur.sigma_inv_images[1]
+    assert not s.is_monomial()
+    assert s ** -1 == s_inv
+    assert s ** -2 == s_inv * s_inv
+    assert s ** 3 == s * s * s
+    assert s ** 0 == RingMatrix.identity(T, 3)
+
+
+# exponents near both ends of the range, so that some products leave it
+exponent = st.one_of(st.integers(-3, 3), st.integers(EXP_MAX - 2, EXP_MAX),
+                     st.integers(-EXP_MAX, -EXP_MAX + 2))
+coefficient = st.integers(-3, 3).filter(bool)
+monomial = st.builds(lambda exps, c: TUV.monomial(exps, c),
+                     st.lists(exponent, min_size=3, max_size=3), coefficient)
+poly = st.lists(monomial, max_size=3).map(lambda ms: sum(ms, TUV.zero()))
+
+
+@st.composite
+def matrix(draw, rows, cols):
+    return RingMatrix(TUV, rows, cols, draw(st.lists(poly, min_size=rows * cols,
+                                                     max_size=rows * cols)))
+
+
+@st.composite
+def plan_column(draw, rows):
+    """A column of zero, copy, shift or sum kind, as a list of entries."""
+    kind = draw(st.sampled_from(("zero", "copy", "shift", "sum")))
+    col = [TUV.zero()] * rows
+    if kind == "sum":
+        return draw(st.lists(poly, min_size=rows, max_size=rows))
+    if kind != "zero":
+        col[draw(st.integers(0, rows - 1))] = TUV.one() if kind == "copy" else draw(monomial)
+    return col
+
+
+@st.composite
+def plan_operands(draw):
+    r, m, l = (draw(st.integers(1, 6)) for _ in range(3))
+    cols = [draw(plan_column(m)) for _ in range(l)]
+    b = RingMatrix(TUV, m, l, [cols[k][j] for j in range(m) for k in range(l)])
+    return draw(matrix(r, m)), b, draw(matrix(l, r))
+
+
+def entrywise_product(a, b):
+    """a * b by sums of LaurentPoly products; OverflowError as they raise it."""
+    flat = []
+    for i in range(a.rows):
+        for k in range(b.cols):
+            acc = a.ring.zero()
+            for j in range(a.cols):
+                acc = acc + a[i, j] * b[j, k]
+            flat.append(acc)
+    return RingMatrix(a.ring, a.rows, b.cols, flat)
+
+
+def product_or_overflow(f, *args):
+    try:
+        return f(*args)
+    except OverflowError:
+        return OverflowError
+
+
+@settings(max_examples=100, deadline=None)
+@given(plan_operands())
+def test_plan_product_equals_the_entrywise_product(operands):
+    a, b, c = operands
+    expect = product_or_overflow(entrywise_product, a, b)
+    assert product_or_overflow(RingMatrix.__mul__, a, b) == expect
+    plan = b._plan
+    # the second product reads the plan kept on b
+    assert product_or_overflow(RingMatrix.__mul__, a, b) == expect
+    assert b._plan is plan is not None
+    # b as a left factor, after its plan exists
+    expect = product_or_overflow(entrywise_product, b, c)
+    assert product_or_overflow(RingMatrix.__mul__, b, c) == expect
 
 
 def test_permutation_algebra():

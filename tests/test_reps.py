@@ -3,12 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidrep.longmoody import lm_q
 from braidrep.matrices import RingMatrix
 from braidrep.reps import (GenRep, make_burau, make_one_dim, make_tym,
                            make_wtym, tensor_one_dim)
 from braidrep.ring import RingContext
 from braidrep.words import BraidWord, commutator
 
+from test_matrices import entrywise_product
 from test_words import random_word
 
 T = RingContext(("t",))
@@ -196,3 +198,19 @@ def test_monomial_bound_overflow_falls_back_to_the_dense_product():
     assert rep.evaluate(BraidWord(3, [("s", 1, 1), ("s", 1, -1)])).is_identity()
     with pytest.raises(OverflowError):
         rep.evaluate(BraidWord(3, [("s", 1, 1), ("s", 1, 1)]))
+
+
+DENSE = {"lm_q(tym%d)" % (m + 2): (lambda m=m: lm_q(make_tym(m + 2, TQ))) for m in (3, 4)}
+DENSE.update(("burau%d" % n, lambda n=n: make_burau(n, T.var("t"))) for n in range(3, 7))
+
+
+@pytest.mark.parametrize("name", sorted(DENSE))
+def test_evaluate_on_dense_images_is_the_triple_loop_product(name):
+    rep = DENSE[name]()
+    rng = random.Random(rep.dim)
+    for length in (1, 2, rng.randrange(3, 30), 30):
+        word = random_word(rng, rep.n, length)
+        expect = rep.letter_image(word.letters[0])
+        for lt in word.letters[1:]:
+            expect = entrywise_product(expect, rep.letter_image(lt))
+        assert rep.evaluate(word) == expect
