@@ -11,7 +11,7 @@ import sys
 
 from .reps import make_burau, make_one_dim, make_tym, make_wtym
 from .ring import (ContextMismatch, NotAUnit, PolyParseError, RingContext,
-                   _tokenize, specialize)
+                   _render_polys, _tokenize, specialize)
 from .stringlinks import (Diagram, DiagramError, MODES, diagram_from_word,
                           kernel_predicate, linking_profile_diagram, tym_matrix)
 from .words import BraidWord, WordParseError
@@ -52,12 +52,11 @@ def load_input(args):
 
 def emit_matrix(m, fmt, out):
     if fmt == "json":
-        from .ring import poly_render
+        texts = _render_polys(m.entries, m.ring)
         payload = {
             "rows": m.rows,
             "cols": m.cols,
-            "entries": [[poly_render(m[i, j]) for j in range(m.cols)]
-                        for i in range(m.rows)],
+            "entries": [texts[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)],
         }
         out.write(json.dumps(payload, indent=2) + "\n")
     else:
@@ -199,6 +198,8 @@ def cmd_lm_decompose(args, out):
 
 
 def cmd_lm_irreducible(args, out):
+    if args.trials < 1:
+        raise CliError("--trials must be at least 1, got %d" % args.trials, 2)
     if args.rep == "reduced-lm3":
         rep = longmoody.reduced_lm3()
     elif args.rep == "burau3":

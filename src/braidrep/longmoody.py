@@ -322,10 +322,12 @@ def irreducibility_probe(rep, p=10007, trials=5, seed=0):
     that no proper invariant subspace can exist generically.  The inverses
     are the representation's own inverse images, specialized the same way
     and checked mod p: ValueError if some g * g_inv is not I.  `p` must be
-    prime (ValueError otherwise).  Arithmetic is on int64 while a matrix
-    product entry, at most d*(p-1)^2, stays below 2^63, and on exact
-    Python integers above.
+    prime and `trials` at least 1 (ValueError otherwise).  Arithmetic is on
+    int64 while a matrix product entry, at most d*(p-1)^2, stays below
+    2^63, and on exact Python integers above.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1, got %d" % trials)
     field = PrimeField(p)
     rng = random.Random(seed)
     d = rep.dim

@@ -7,7 +7,7 @@ return fresh values.
 from __future__ import annotations
 
 from .ring import (EXP_MAX, ContextMismatch, LaurentPoly, NotAUnit,
-                   _product_bound, _row_products, specialize)
+                   _product_bound, _render_polys, _row_products, specialize)
 
 
 class ShapeMismatch(ValueError):
@@ -369,10 +369,10 @@ class RingMatrix:
 
     def render(self):
         """Text form: `rows cols` header, then `;`-separated rows."""
-        from .ring import poly_render
+        texts = _render_polys(self.entries, self.ring)
         lines = ["%d %d" % (self.rows, self.cols)]
         for i in range(self.rows):
-            lines.append(";".join(poly_render(e) for e in self.row(i)))
+            lines.append(";".join(texts[i * self.cols:(i + 1) * self.cols]))
         return "\n".join(lines)
 
     @classmethod

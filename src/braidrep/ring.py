@@ -21,10 +21,14 @@ prime p certified by `PrimeField`; an element of Z/p is a plain int in
 [0, p).
 
 All values are immutable after construction and all operations are pure.
+A context caches its last specialisation (the checked images and each key's
+image), reused only for the same target and the very same image objects, so
+the cache cannot be observed.
 """
 from __future__ import annotations
 
 import re
+from operator import is_
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 _FAMILY_RE = re.compile(r"([A-Za-z_]+?)([0-9]+)$")
@@ -72,7 +76,7 @@ class PolyParseError(ValueError):
 class RingContext:
     """An ordered tuple of distinct Laurent variable names."""
 
-    __slots__ = ("variables", "_index")
+    __slots__ = ("variables", "_index", "_spec")
 
     def __init__(self, variables):
         vs = tuple(variables)
@@ -83,6 +87,9 @@ class RingContext:
                 raise ValueError("bad variable name: %r" % (v,))
         self.variables = vs
         self._index = {v: i for i, v in enumerate(vs)}
+        # (target, images, checked unit images, {source key: image}) of the
+        # last `specialize` from this context
+        self._spec = None
 
     @property
     def arity(self):
@@ -418,58 +425,57 @@ def specialize(p, images, target):
     nonzero mod q and the result is an int in [0, q).  Images must be
     units because exponents may be negative: NotAUnit otherwise, and
     ContextMismatch for an image of the wrong kind.
+
+    The checked images and each key's image stay in the `_spec` slot of p's
+    context for later calls with the same target and image objects.
     """
-    missing = [v for v in p.ctx.variables if v not in images]
-    if missing:
-        raise KeyError("no image for variables %r" % (missing,))
-    arity = p.ctx.arity
+    ctx = p.ctx
+    try:
+        imgs = tuple(map(images.__getitem__, ctx.variables))
+    except KeyError:
+        raise KeyError("no image for variables %r"
+                       % ([v for v in ctx.variables if v not in images],)) from None
+    spec = ctx._spec
+    if spec is None or spec[0] is not target or not all(map(is_, spec[1], imgs)):
+        spec = ctx._spec = (target, imgs, _unit_images(ctx, imgs, target), {})
+    _, _, units, memo = spec
+    arity = len(imgs)
     if isinstance(target, PrimeField):
         mod = target.p
-        vals = []
-        for v in p.ctx.variables:
-            img = images[v]
-            if not isinstance(img, int):
-                raise ContextMismatch("image of %s is not in %r" % (v, target))
-            if not img % mod:
-                raise NotAUnit("image of %s is not a unit: %d (mod %d)" % (v, img, mod))
-            vals.append(img % mod)
         acc = 0
         for key, c in p.terms.items():
-            for img, e in zip(vals, _unpack(key, arity)):
-                if e:
-                    c = c * pow(img, e, mod) % mod
-            acc += c
+            v = memo.get(key)
+            if v is None:
+                v = 1
+                for img, e in zip(units, _unpack(key, arity)):
+                    if e:
+                        v = v * pow(img, e, mod) % mod
+                memo[key] = v
+            acc += c * v
         return acc % mod
-    vals = []
-    for v in p.ctx.variables:
-        img = images[v]
-        if isinstance(img, int):
-            img = target.const(img)
-        if getattr(img, "ctx", None) != target:
-            raise ContextMismatch("image of %s is not in %r" % (v, target))
-        if not img.is_unit():
-            raise NotAUnit("image of %s is not a unit: %r" % (v, img))
-        vals.append(img)
     # each image is s*x^f with s = +-1, and a term c*x^e maps to
     # c * prod(s_i^e_i) * x^(sum e_i*f_i), the key sum e_i*f_i
-    units = []
-    for img in vals:
-        ((f, s),) = img.terms.items()
-        units.append((f, s, img._bound))
     out = {}
     bound = 0
     for key, c in p.terms.items():
-        exps = _unpack(key, arity)
-        k = b = 0
-        for e, (f, s, fb) in zip(exps, units):
-            if e:
-                k += e * f
-                b += abs(e) * fb
-                if s < 0 and e & 1:
-                    c = -c
-        if b > EXP_MAX:
-            b, k = _checked_image(exps, vals, target.arity)
-        bound = max(bound, b)
+        image = memo.get(key)
+        if image is None:
+            exps = _unpack(key, arity)
+            k = b = flip = 0
+            for e, (f, s, fb) in zip(exps, units):
+                if e:
+                    k += e * f
+                    b += abs(e) * fb
+                    if s < 0:
+                        flip ^= e & 1
+            if b > EXP_MAX:
+                b, k = _checked_image(exps, units, target.arity)
+            image = memo[key] = (k, flip, b)
+        k, flip, b = image
+        if flip:
+            c = -c
+        if b > bound:
+            bound = b
         s = out.get(k, 0) + c
         if s:
             out[k] = s
@@ -478,16 +484,40 @@ def specialize(p, images, target):
     return LaurentPoly._raw(target, out, bound)
 
 
-def _checked_image(exps, vals, arity):
-    """(largest absolute exponent, key) of the monomial prod(vals[i]^exps[i]).
+def _unit_images(ctx, imgs, target):
+    """The images checked: ints mod p into a PrimeField, else (key, sign, bound)."""
+    units = []
+    if isinstance(target, PrimeField):
+        mod = target.p
+        for v, img in zip(ctx.variables, imgs):
+            if not isinstance(img, int):
+                raise ContextMismatch("image of %s is not in %r" % (v, target))
+            if not img % mod:
+                raise NotAUnit("image of %s is not a unit: %d (mod %d)" % (v, img, mod))
+            units.append(img % mod)
+        return units
+    for v, img in zip(ctx.variables, imgs):
+        if isinstance(img, int):
+            img = target.const(img)
+        if getattr(img, "ctx", None) != target:
+            raise ContextMismatch("image of %s is not in %r" % (v, target))
+        if not img.is_unit():
+            raise NotAUnit("image of %s is not a unit: %r" % (v, img))
+        ((f, s),) = img.terms.items()
+        units.append((f, s, img._bound))
+    return units
+
+
+def _checked_image(exps, units, arity):
+    """(largest absolute exponent, key) of the monomial prod(x^(exps[i]*f_i)).
 
     The exact, slow form of the key arithmetic in `specialize`, used when
     its bound cannot rule out an exponent outside the range.
     """
     image = [0] * arity
-    for e, img in zip(exps, vals):
-        for j, f in enumerate(_unpack(next(iter(img.terms)), arity)):
-            image[j] += e * f
+    for e, (f, _, _) in zip(exps, units):
+        for j, g in enumerate(_unpack(f, arity)):
+            image[j] += e * g
     return max(map(abs, image), default=0), _pack(image)
 
 
@@ -498,34 +528,41 @@ def poly_render(p):
     order of their keys; variables inside a monomial are printed in
     alphabetical order.
     """
-    if not p.terms:
-        return "0"
-    pieces = []
-    names = p.ctx.variables
-    order = sorted(range(len(names)), key=lambda i: names[i])
-    for key in sorted(p.terms):
-        c = p.terms[key]
-        e = _unpack(key, len(names))
-        factors = []
-        for i in order:
-            exp = e[i]
-            if exp == 1:
-                factors.append(names[i])
-            elif exp:
-                factors.append("%s^%d" % (names[i], exp))
-        mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        pieces.append(("-" if c < 0 else "+", body))
-    sign, body = pieces[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        text += " %s %s" % (sign, body)
-    return text
+    return _render_polys((p,), p.ctx)[0]
+
+
+def _render_polys(polys, ctx):
+    """`poly_render` of each polynomial of `ctx`, each key's factors printed once."""
+    names = ctx.variables
+    arity = len(names)
+    order = sorted(range(arity), key=names.__getitem__)
+    factors = {}
+    texts = []
+    for p in polys:
+        if not p.terms:
+            texts.append("0")
+            continue
+        pieces = []
+        for key in sorted(p.terms):
+            c = p.terms[key]
+            text = factors.get(key)
+            if text is None:
+                e = _unpack(key, arity)
+                text = factors[key] = "*".join(
+                    names[i] if e[i] == 1 else "%s^%d" % (names[i], e[i]) for i in order if e[i])
+            mag = abs(c)
+            if pieces:
+                pieces.append(" - " if c < 0 else " + ")
+            elif c < 0:
+                pieces.append("-")
+            if not text:
+                pieces.append(str(mag))
+            elif mag == 1:
+                pieces.append(text)
+            else:
+                pieces.append(str(mag) + "*" + text)
+        texts.append("".join(pieces))
+    return texts
 
 
 def _tokenize(text):

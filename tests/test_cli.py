@@ -1,10 +1,13 @@
+import io
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from braidrep import reproduce
-from braidrep.cli import main
+from braidrep import longmoody, reproduce
+from braidrep.cli import emit_matrix, main
+from braidrep.reps import make_tym, make_wtym
+from braidrep.ring import RingContext, poly_render
 from braidrep.stringlinks import MODES, diagram_from_word
 from braidrep.words import BraidWord
 
@@ -27,6 +30,39 @@ def test_eval_tym_specialized(tmp_path, capsys):
                          "--spec", "t=-1")
     assert status == 0
     assert out.splitlines() == ["3 3", "0;0;-1", "-1;0;0", "0;1;0"]
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (("eval", "--rep", "wtym", "--spec", "u=x", "v=x", "al=-1"),
+     [["0", "0", "-x^3", "0"], ["x^-1", "0", "0", "0"],
+      ["0", "0", "0", "x^3"], ["0", "-x", "0", "0"]]),
+    (("eval", "--rep", "burau", "--spec", "t=-t^-1"),
+     [["-t^-1 - 2 - t", "-t^-1 - 1", "t^-3 + 2*t^-2 + t^-1", "t^-2"],
+      ["t^-1 + 3 + 3*t + t^2", "t^-1 + 2 + t", "-t^-3 - 2*t^-2 - 3*t^-1 - 1", "-t^-2 - t^-1"],
+      ["-t - t^2", "-t", "t^-1 + 1", "0"],
+      ["-t", "0", "t^-1 + 1", "t^-1 + 1"]]),
+])
+def test_eval_specialized_output_is_pinned(tmp_path, capsys, argv, rows):
+    text = "n=4\nv1 1 v2 -3 2 v3 1 -2 v1 3 3\n" if "wtym" in argv else "n=4\n1 -2 3 1 2 -1\n"
+    word = write(tmp_path, "w.braid", text)
+    argv = argv[:3] + ("--word", word) + argv[3:]
+    assert run(capsys, *argv) == (0, "\n".join(["4 4"] + [";".join(r) for r in rows]) + "\n", "")
+    payload = {"rows": 4, "cols": 4, "entries": rows}
+    assert run(capsys, "--format", "json", *argv) == (0, json.dumps(payload, indent=2) + "\n", "")
+
+
+def test_matrix_text_and_json_render_each_entry_as_poly_render():
+    # variable orders that are not alphabetical: ("t", "q") and ("u", "v", "al")
+    lmq = longmoody.lm_q(make_tym(4, RingContext(("t", "q"))))
+    wtym = make_wtym(4)
+    for rep, letters in ((lmq, "1 -2 1 2 2 -1"), (wtym, "v1 1 v2 -3 2 v3 1 -2 v1 3 3")):
+        m = rep.evaluate(BraidWord.parse("n=%d\n%s\n" % (rep.n, letters)))
+        texts = [[poly_render(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+        assert len({t for row in texts for t in row}) > 2
+        assert m.render() == "\n".join(["%d %d" % (m.rows, m.cols)] + [";".join(r) for r in texts])
+        out = io.StringIO()
+        emit_matrix(m, "json", out)
+        assert json.loads(out.getvalue()) == {"rows": m.rows, "cols": m.cols, "entries": texts}
 
 
 def test_spec_variable_outside_the_ring_is_a_parse_error(tmp_path, capsys):
@@ -228,6 +264,13 @@ def test_lm_irreducible_json(capsys):
     assert status == 0
     data = json.loads(out)
     assert data["full"] is True
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_lm_irreducible_trials_below_one_is_a_parse_error(capsys, trials):
+    status, out, err = run(capsys, "lm", "irreducible", "--trials", trials)
+    assert (status, out) == (2, "")
+    assert err == "error: --trials must be at least 1, got %s\n" % trials
 
 
 def test_lm_build_onedim(capsys):

@@ -234,6 +234,12 @@ def test_irreducibility_probe_refuses_wrong_inverse_images():
         irreducibility_probe(broken, p=10007, trials=1, seed=0)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_irreducibility_probe_needs_a_trial(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        irreducibility_probe(make_tym(3), p=10007, trials=trials, seed=0)
+
+
 def test_intertwining_small():
     assert intertwining_check(make_tym(4)) == []
     assert intertwining_check(make_burau(4, RingContext(("t",)).var("t"))) == []

@@ -243,7 +243,7 @@ def ref_specialize(a, images, arity):
 def outcome(fn, show=poly_render):
     try:
         return "ok", show(fn())
-    except (OverflowError, NotAUnit) as exc:
+    except (OverflowError, NotAUnit, ContextMismatch) as exc:
         return "raises", type(exc)
 
 
@@ -339,6 +339,94 @@ def test_exponent_range_is_enforced():
         big * col
     ok = RingMatrix.from_rows(xy, [[xy.var("x")], [xy.one()]])
     assert (big * ok).entries == (xy.monomial((LIMIT, 0)) + 1,)
+
+
+# targets of the slot test: two contexts, one of them twice (equal, not the same
+# object), with a variable order that is not alphabetical
+SLOT_TARGETS = (TARGET, RingContext(("s", "w")), RingContext(("z", "y", "x")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_specialize_through_the_slot_matches_the_reference(data):
+    arity = data.draw(st.integers(1, 3))
+    ctx = RingContext(tuple("x%d" % i for i in range(arity)))  # a fresh, empty slot
+    names = ctx.variables
+    # (images, target, reference result of a term map, or the exception expected)
+    maps = []
+    # ints are images in every target: one dict of them passed with several targets
+    signs = [data.draw(st.sampled_from([1, -1])) for _ in names]
+    ints = dict(zip(names, signs))
+    for target in SLOT_TARGETS:
+        r = target.arity
+        maps.append((ints, target, lambda A, target=target, r=r: (
+            True, ref_render(target.variables, ref_specialize(A, [(x, (0,) * r) for x in signs], r)))))
+        vec = st.tuples(*[st.integers(-2, 2)] * r)
+        imgs = [data.draw(st.tuples(st.sampled_from([1, -1]), vec)) for _ in names]
+
+        def want(A, target=target, imgs=imgs, r=r):
+            return True, ref_render(target.variables, ref_specialize(A, imgs, r))
+        # the same images twice, and equal images held by distinct objects
+        for _ in range(2):
+            maps.append(({v: target.monomial(f, sign) for v, (sign, f) in zip(names, imgs)},
+                         target, want))
+        bad = dict(maps[-1][0])
+        bad[data.draw(st.sampled_from(names))] = target.monomial(imgs[0][1], 2)
+        maps.append((bad, target, NotAUnit))
+    values = [data.draw(st.integers(1, FIELD.p - 1)) for _ in names]
+    for field in (FIELD, PrimeField(10009)):
+        maps.append((dict(zip(names, values)), field, lambda A, q=field.p:
+                     sum(c * _prod_mod(values, e, q) for e, c in A.items()) % q))
+    # equal to the ints above, but polynomials: not elements of the field
+    maps.append(({v: T.const(x) for v, x in zip(names, values)}, FIELD, ContextMismatch))
+    maps.append(({v: FIELD.p * x for v, x in zip(names, values)}, FIELD, NotAUnit))
+
+    polys = [data.draw(ref_polys(arity)) for _ in range(3)] + [{}]
+    for _ in range(data.draw(st.integers(1, 12))):
+        images, target, want = data.draw(st.sampled_from(maps))
+        A = data.draw(st.sampled_from(polys))
+        if isinstance(want, type):
+            expected = "raises", want
+        else:  # OverflowError where the reference leaves the exponent range
+            expected = outcome(lambda: want(A), lambda x: x)
+        show = (lambda r: r) if isinstance(target, PrimeField) else (
+            lambda r: (r.ctx is target, poly_render(r)))
+        assert outcome(lambda: specialize(build(ctx, A), images, target), show) == expected
+
+
+def test_specialize_rechecks_images_after_a_cached_success():
+    f = PrimeField(7)
+    p = T.parse("t^2 + 3")
+    assert specialize(p, {"t": 3}, f) == 5
+    # the same image objects into another field
+    assert specialize(p, {"t": 3}, PrimeField(11)) == 1
+    # T.const(3) == 3, yet it is not an element of Z/7
+    with pytest.raises(ContextMismatch):
+        specialize(p, {"t": T.const(3)}, f)
+    assert specialize(p, {"t": 3}, f) == 5
+    with pytest.raises(NotAUnit):
+        specialize(p, {"t": 14}, f)
+    with pytest.raises(NotAUnit):
+        specialize(T.var("t"), {"t": T.parse("t + 1")}, T)
+    # a zero polynomial with bad images still raises, on a warm slot too
+    for images, target, exc in (({"t": 7}, f, NotAUnit), ({"t": T.var("t")}, f, ContextMismatch),
+                                ({"t": T.const(2)}, T, NotAUnit), ({}, f, KeyError)):
+        assert specialize(p, {"t": 3}, f) == 5
+        with pytest.raises(exc):
+            specialize(T.zero(), images, target)
+
+
+def test_specialize_overflow_on_a_fresh_and_a_warm_slot():
+    images = {"x": T.var("t", 2), "y": T.var("t", -1)}
+    for warm in (False, True):
+        xy = RingContext(("x", "y"))
+        if warm:
+            assert specialize(xy.var("x") + 1, images, T) == T.parse("t^2 + 1")
+        for _ in range(2):  # the failed key is not kept
+            with pytest.raises(OverflowError):
+                specialize(xy.monomial((LIMIT, 0)), images, T)
+        # past the bound, but inside the range once worked out exactly
+        assert specialize(xy.monomial((LIMIT // 2, LIMIT)), images, T) == T.var("t", -1)
 
 
 def test_pow_costs_and_results(monkeypatch):
