@@ -187,11 +187,13 @@ def cmd_lm_build(args, out):
         rep = longmoody.lm_q(src) if args.q_twist else longmoody.lm_apply(src)
     for i in range(1, rep.n):
         out.write("sigma_%d\n" % i)
-        emit_matrix(rep.sigma_images[i], args.format, out)
+        emit_matrix(rep.images[("s", i, 1)], args.format, out)
     return 0
 
 
 def cmd_lm_decompose(args, out):
+    if args.n < 2:
+        raise CliError("need n >= 2", 1)
     report = longmoody.decompose_check(args.n)
     emit_obj(report, args.format, out)
     return 0 if report["ok"] else 1

@@ -24,39 +24,34 @@ def _from_blocks(ring, d, n, blocks):
 
 
 class SemidirectRep:
-    """A representation of F_n x| B_n by images of sigma_i and x_i.
-
-    The braid images are held as a GenRep in `braid`.
+    """A representation of F_n x| B_n: a GenRep `braid` of B_n and the dict
+    `x` of the images of the free letters (j, 1) and (j, -1), FreeWord's
+    letter tuples.
     """
 
-    __slots__ = ("n", "dim", "ring", "braid", "x_images", "x_inv_images", "name")
+    __slots__ = ("braid", "x")
 
-    def __init__(self, n, dim, ring, sigma_images, sigma_inv_images,
-                 x_images, x_inv_images, name=""):
-        self.n = n
-        self.dim = dim
-        self.ring = ring
-        self.braid = GenRep(n, dim, ring, sigma_images, sigma_inv_images, name=name)
-        self.x_images = dict(x_images)
-        self.x_inv_images = dict(x_inv_images)
-        self.name = name
+    def __init__(self, braid, x):
+        self.braid = braid
+        self.x = dict(x)
 
     def x_word(self, w):
         out = None
-        for g, s in w.letters:
-            m = self.x_images[g] if s > 0 else self.x_inv_images[g]
+        for lt in w.letters:
+            m = self.x[lt]
             out = m if out is None else out * m
-        return out if out is not None else RingMatrix.identity(self.ring, self.dim)
+        return out if out is not None else RingMatrix.identity(self.braid.ring, self.braid.dim)
 
     def x_group_ring(self, elem):
         """Linear extension of the x images over a group ring element."""
+        ring = self.braid.ring
         out = None
         for w, c in elem.terms.items():
             m = self.x_word(w)
             if c != 1:
-                m = m.scale(self.ring.const(c))
+                m = m.scale(ring.const(c))
             out = m if out is None else out + m
-        return out if out is not None else RingMatrix.zeros(self.ring, self.dim, self.dim)
+        return out if out is not None else RingMatrix.zeros(ring, self.braid.dim, self.braid.dim)
 
 
 def _assemble(eta, name):
@@ -66,44 +61,41 @@ def _assemble(eta, name):
     eta_x(D_j a(lam)(x_k)) * eta(lam): the Fox derivative of the Artin
     image, extended linearly over the x images, times the braid image.
     """
-    n, d = eta.n, eta.dim
+    braid = eta.braid
+    n, d = braid.n, braid.dim
 
     def image(letter):
-        outer = eta.braid.letter_image(letter)
+        outer = braid.images[letter]
         blocks = {}
         for k, target in enumerate(artin_action(BraidWord(n, [letter]))):
             for j in range(1, n + 1):
                 dj = fox_derivative(target, j)
                 if not dj.is_zero():
                     blocks[(j - 1, k)] = eta.x_group_ring(dj) * outer
-        return _from_blocks(eta.ring, d, n, blocks)
+        return _from_blocks(braid.ring, d, n, blocks)
 
     sig = {i: image(("s", i, 1)) for i in range(1, n)}
     sig_inv = {i: image(("s", i, -1)) for i in range(1, n)}
-    return GenRep(n, n * d, eta.ring, sig, sig_inv, name=name)
+    return GenRep(n, n * d, braid.ring, sig, sig_inv, name=name)
 
 
 def _scale_x(eta, s):
     """eta with every x image scaled by the unit s and every x inverse image by s^{-1}."""
     sinv = s.inverse()
-    return SemidirectRep(
-        eta.n, eta.dim, eta.ring, eta.braid.sigma_images, eta.braid.sigma_inv_images,
-        {j: m.scale(s) for j, m in eta.x_images.items()},
-        {j: m.scale(sinv) for j, m in eta.x_inv_images.items()},
-        name=eta.name)
+    return SemidirectRep(eta.braid, {lt: m.scale(s if lt[1] > 0 else sinv)
+                                     for lt, m in eta.x.items()})
 
 
 def _semidirect_pair(rho):
     """The rep of F_n x| B_n given by sigma_i -> rho(sigma_{i+1}), x_j -> rho(chi(x_j))."""
     n = rho.n - 1
+    braid = GenRep(n, rho.dim, rho.ring,
+                   {i: rho.images[("s", i + 1, 1)] for i in range(1, n)},
+                   {i: rho.images[("s", i + 1, -1)] for i in range(1, n)},
+                   name=rho.name)
     chis = {j: chi(FreeWord.gen(n, j)) for j in range(1, n + 1)}
-    return SemidirectRep(
-        n, rho.dim, rho.ring,
-        {i: rho.sigma_images[i + 1] for i in range(1, n)},
-        {i: rho.sigma_inv_images[i + 1] for i in range(1, n)},
-        {j: rho.evaluate(w) for j, w in chis.items()},
-        {j: rho.evaluate(w.inverse()) for j, w in chis.items()},
-        name=rho.name)
+    return SemidirectRep(braid, {(j, s): rho.evaluate(w if s > 0 else w.inverse())
+                                 for j, w in chis.items() for s in (1, -1)})
 
 
 def lm_apply(rho):
@@ -138,16 +130,14 @@ def make_eta(n, ctx=None):
     """The semidirect representation with sigma_i -> TYM and x_i -> q Diag(1,..,t,..,1)."""
     ring = ctx if ctx is not None else RingContext(("t", "q"))
     tym = make_tym(n, ring)
-    q = ring.var("q")
-    t = ring.var("t")
-    x_images = {}
-    x_inv = {}
+    tym.name = "eta%d" % n
+    q, t = ring.var("q"), ring.var("t")
+    x = {}
     for i in range(1, n + 1):
         diag = {(k, k): (q * t if k == i - 1 else q) for k in range(n)}
-        x_images[i] = RingMatrix.from_entries_dict(ring, n, diag)
-        x_inv[i] = x_images[i].monomial_inverse()
-    return SemidirectRep(n, n, ring, tym.sigma_images, tym.sigma_inv_images,
-                         x_images, x_inv, name="eta%d" % n)
+        x[(i, 1)] = RingMatrix.from_entries_dict(ring, n, diag)
+        x[(i, -1)] = x[(i, 1)].monomial_inverse()
+    return SemidirectRep(tym, x)
 
 
 def check_semidirect(eta):
@@ -155,11 +145,12 @@ def check_semidirect(eta):
 
     This is the relation that makes the construction on eta well defined.
     """
+    n = eta.braid.n
     bad = []
-    for i in range(1, eta.n):
-        s = eta.braid.letter_image(("s", i, 1))
-        for j, twisted in enumerate(artin_action(BraidWord.sigma(eta.n, i)), 1):
-            if s * eta.x_images[j] != eta.x_word(twisted) * s:
+    for i in range(1, n):
+        s = eta.braid.images[("s", i, 1)]
+        for j, twisted in enumerate(artin_action(BraidWord.sigma(n, i)), 1):
+            if s * eta.x[(j, 1)] != eta.x_word(twisted) * s:
                 bad.append((i, j))
     return bad
 
@@ -171,9 +162,9 @@ def lm_semidirect(eta, q_twist=False):
     result by q^{-1}, the same normalization as lm_q.  The two scalings of
     the braid images cancel, so only the x images are scaled.
     """
-    name = "lm_sd(%s%s)" % (eta.name, ",q" if q_twist else "")
+    name = "lm_sd(%s%s)" % (eta.braid.name, ",q" if q_twist else "")
     if q_twist:
-        eta = _scale_x(eta, eta.ring.var("q"))
+        eta = _scale_x(eta, eta.braid.ring.var("q"))
     return _assemble(eta, name)
 
 
@@ -222,14 +213,11 @@ def decompose_check(n):
     bur = make_burau(n, q * q * t)
     sd = lm_semidirect(make_eta(n, ring), q_twist=True)
     perm = decompose_block_permutation(n)
-    report = {"n": n, "blocks": (n, n * n), "generators": {}, "ok": True}
+    gens = {}
     for i in range(1, n):
-        got = lm.sigma_images[i].index_relabel(perm)
-        want = direct_sum([bur.sigma_images[i], sd.sigma_images[i]], ring=ring)
-        ok = got == want
-        report["generators"][i] = ok
-        report["ok"] = report["ok"] and ok
-    return report
+        want = direct_sum([bur.images[("s", i, 1)], sd.images[("s", i, 1)]], ring=ring)
+        gens[i] = lm.images[("s", i, 1)].index_relabel(perm) == want
+    return {"n": n, "blocks": (n, n * n), "generators": gens, "ok": all(gens.values())}
 
 
 def identify_trivial_burau(n):
@@ -242,11 +230,7 @@ def identify_trivial_burau(n):
     lm = lm_q(make_one_dim(n + 1, ring.one()))
     q = ring.var("q")
     bur = make_burau(n, q * q)
-    basis = RingMatrix.identity(ring, n)
-    ok = all(lm.sigma_images[i] == bur.sigma_images[i]
-             and lm.sigma_inv_images[i] == bur.sigma_inv_images[i]
-             for i in range(1, n))
-    return basis, ok
+    return RingMatrix.identity(ring, n), lm.images == bur.images
 
 
 def block_formula_lm_q_tym(n, i):
@@ -261,7 +245,7 @@ def block_formula_lm_q_tym(n, i):
     q2 = q * q
     d = n + 1
     tym = make_tym(n + 1, ring)
-    sfac = tym.sigma_images[i + 1]
+    sfac = tym.images[("s", i + 1, 1)]
     mi = RingMatrix.from_entries_dict(
         ring, d, {(k, k): (q2 * t if k in (0, i + 1) else q2) for k in range(d)})
     ni = RingMatrix.from_entries_dict(
@@ -274,26 +258,40 @@ def block_formula_lm_q_tym(n, i):
     return left * right
 
 
-def _specialize_matrix_mod_p(m, field, values, dtype):
-    """Evaluate a Laurent matrix at unit values of the variables mod p."""
-    out = np.zeros((m.rows, m.cols), dtype=dtype)
-    for k, e in enumerate(m.entries):
-        if not e.is_zero():
-            out[divmod(k, m.cols)] = specialize(e, values, field)
-    return out
-
-
 def _field_dtype(d, p):
     """int64 while a product entry, at most d*(p-1)^2, stays below 2^63."""
     return np.int64 if d * (p - 1) ** 2 < 2 ** 63 else object
 
 
+def _images_mod_p(rep, letters, field, point):
+    """The letters' images at unit values `point` of the variables mod p, keyed by letter.
+
+    Where both sigma_i and its inverse are among the letters, their images
+    are checked mod p: ValueError if the product is not I.
+    """
+    p = field.p
+    dtype = _field_dtype(rep.dim, p)
+    out = {}
+    for lt in letters:
+        m = rep.letter_image(lt)
+        a = out[lt] = np.zeros((m.rows, m.cols), dtype=dtype)
+        for k, e in enumerate(m.entries):
+            if not e.is_zero():
+                a[divmod(k, m.cols)] = specialize(e, point, field)
+    eye = np.eye(rep.dim, dtype=dtype)
+    for lt, g in out.items():
+        inv = ("s", lt[1], -1)
+        if lt == ("s", lt[1], 1) and inv in out and not np.array_equal((g @ out[inv]) % p, eye):
+            raise ValueError("inverse image of sigma_%d in %s is not its inverse mod %d"
+                             % (lt[1], rep.name or "the representation", p))
+    return out
+
+
 class _SpanBasis:
     """Row echelon basis of a subspace of F_p^(d*d)."""
 
-    def __init__(self, p, length):
+    def __init__(self, p):
         self.p = p
-        self.length = length
         self.pivots = {}
 
     def add(self, vec):
@@ -331,20 +329,13 @@ def irreducibility_probe(rep, p=10007, trials=5, seed=0):
     field = PrimeField(p)
     rng = random.Random(seed)
     d = rep.dim
-    dtype = _field_dtype(d, p)
-    eye = np.eye(d, dtype=dtype)
+    eye = np.eye(d, dtype=_field_dtype(d, p))
     best = 0
+    letters = [("s", i, s) for i in range(1, rep.n) for s in (1, -1)]
     for trial in range(1, trials + 1):
         values = {v: rng.randrange(1, p) for v in rep.ring.variables}
-        gens = []
-        for i in range(1, rep.n):
-            g = _specialize_matrix_mod_p(rep.sigma_images[i], field, values, dtype)
-            g_inv = _specialize_matrix_mod_p(rep.sigma_inv_images[i], field, values, dtype)
-            if not np.array_equal((g @ g_inv) % p, eye):
-                raise ValueError("inverse image of sigma_%d in %s is not its inverse mod %d"
-                                 % (i, rep.name or "the representation", p))
-            gens.extend([g, g_inv])
-        basis = _SpanBasis(p, d * d)
+        gens = list(_images_mod_p(rep, letters, field, values).values())
+        basis = _SpanBasis(p)
         queue = [eye]
         basis.add(queue[0].reshape(-1))
         while queue and basis.dim() < d * d:
@@ -401,16 +392,14 @@ def _identity_verdict(rep, word):
     nonzero exact difference (its chance is at most degree/p by
     Schwartz-Zippel), so that case is settled by exact evaluation and the
     method is "exact": an identity verdict never rests on modular
-    arithmetic.
+    arithmetic.  Like the probe, it refuses a sigma_i inverse image, both
+    in the word, that is not the inverse of the sigma_i image mod p.
     """
     p = WITNESS_PRIME
     rng = random.Random(0)  # a fixed point, so reports repeat exactly
     point = {v: rng.randrange(2, p - 1) for v in rep.ring.variables}
-    field = PrimeField(p)
-    dtype = _field_dtype(rep.dim, p)
-    gens = {lt: _specialize_matrix_mod_p(rep.letter_image(lt), field, point, dtype)
-            for lt in set(word.letters)}
-    eye = np.eye(rep.dim, dtype=dtype)
+    gens = _images_mod_p(rep, dict.fromkeys(word.letters), PrimeField(p), point)
+    eye = np.eye(rep.dim, dtype=_field_dtype(rep.dim, p))
     prod = eye
     for lt in word.letters:
         prod = (prod @ gens[lt]) % p

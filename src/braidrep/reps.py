@@ -9,37 +9,45 @@ from .words import BraidWord
 class GenRep:
     """A representation determined by images of the generators.
 
-    sigma_images and sigma_inv_images map 1-based generator index to a
-    RingMatrix; tau_images may be None for classical-only representations.
-    When every image is monomial (one unit entry per row and per column),
-    words are evaluated by adding monomial keys instead of multiplying
-    matrices; the images themselves decide, on first use.
+    `images` maps each letter, ("s", i, 1), ("s", i, -1) and ("t", i), to
+    its RingMatrix; the constructor takes the sigma, sigma inverse and tau
+    images by 1-based generator index, tau_images None for a
+    classical-only representation.  When every image is monomial (one unit
+    entry per row and per column), words are evaluated by adding monomial
+    keys instead of multiplying matrices; the images themselves decide, on
+    first use.
     """
 
-    __slots__ = ("n", "dim", "ring", "sigma_images", "sigma_inv_images",
-                 "tau_images", "name", "_monomial")
+    __slots__ = ("n", "dim", "ring", "images", "name", "_classical", "_monomial")
 
     def __init__(self, n, dim, ring, sigma_images, sigma_inv_images,
                  tau_images=None, name=""):
+        for i in range(1, n):
+            if i not in sigma_images or i not in sigma_inv_images:
+                raise ValueError("missing image for generator %d" % i)
         self.n = n
         self.dim = dim
         self.ring = ring
-        self.sigma_images = dict(sigma_images)
-        self.sigma_inv_images = dict(sigma_inv_images)
-        self.tau_images = dict(tau_images) if tau_images is not None else None
+        self.images = {("s", i, 1): m for i, m in sigma_images.items()}
+        self.images.update((("s", i, -1), m) for i, m in sigma_inv_images.items())
+        self.images.update((("t", i), m) for i, m in (tau_images or {}).items())
         self.name = name
+        self._classical = tau_images is None
         self._monomial = None
-        for i in range(1, n):
-            if i not in self.sigma_images or i not in self.sigma_inv_images:
-                raise ValueError("missing image for generator %d" % i)
+
+    def _by_index(self, *kind):
+        """A fresh dict of the images of the letters (kind[0], i, *kind[1:]), by i."""
+        return {lt[1]: m for lt, m in self.images.items() if (lt[0],) + lt[2:] == kind}
+
+    # read-only views of `images` by generator index, each a fresh dict
+    sigma_images = property(lambda self: self._by_index("s", 1))
+    sigma_inv_images = property(lambda self: self._by_index("s", -1))
+    tau_images = property(lambda self: None if self._classical else self._by_index("t"))
 
     def letter_image(self, letter):
-        if letter[0] == "s":
-            _, i, s = letter
-            return self.sigma_images[i] if s > 0 else self.sigma_inv_images[i]
-        if self.tau_images is None:
+        if letter[0] == "t" and self._classical:
             raise ValueError("representation has no virtual generator images")
-        return self.tau_images[letter[1]]
+        return self.images[letter]
 
     def evaluate(self, word):
         if word.n != self.n:
@@ -61,10 +69,7 @@ class GenRep:
         Built once; an empty table when some image is not monomial.
         """
         if self._monomial is None:
-            images = {("s", i, 1): m for i, m in self.sigma_images.items()}
-            images.update((("s", i, -1), m) for i, m in self.sigma_inv_images.items())
-            images.update((("t", i), m) for i, m in (self.tau_images or {}).items())
-            rows = {lt: _monomial_rows(m) for lt, m in images.items()}
+            rows = {lt: _monomial_rows(m) for lt, m in self.images.items()}
             self._monomial = {} if None in rows.values() else rows
         return self._monomial
 
@@ -119,7 +124,7 @@ class GenRep:
         for i in range(1, n - 1):
             chk("braid relation at %d" % i,
                 W(s(i), s(i + 1), s(i)), W(s(i + 1), s(i), s(i + 1)))
-        if self.tau_images is not None:
+        if not self._classical:
             for i in range(1, n):
                 chk("tau_%d involution" % i, W(t(i), t(i)), W())
                 for j in range(i + 2, n):
@@ -212,6 +217,5 @@ def tensor_one_dim(rep, r):
     rinv = r.inverse()
     sig = {i: m.scale(r) for i, m in rep.sigma_images.items()}
     sig_inv = {i: m.scale(rinv) for i, m in rep.sigma_inv_images.items()}
-    taus = rep.tau_images
-    return GenRep(rep.n, rep.dim, rep.ring, sig, sig_inv, taus,
+    return GenRep(rep.n, rep.dim, rep.ring, sig, sig_inv, rep.tau_images,
                   name=rep.name + "*onedim")

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .matrices import Permutation, RingMatrix
 from .ring import RingContext
-from .words import LinkingProfile
+from .words import LinkingProfile, _decimal
 
 MODES = ("2var", "multi", "w3", "wmulti")
 
@@ -128,12 +128,12 @@ class Diagram:
                     if n is not None:
                         raise DiagramError("line %d: repeated 'strands' line" % lineno)
                     (count,) = args
-                    n = int(count)
+                    n = _decimal(count)
                     if n < 1:
                         raise DiagramError("line %d: strand count %d is below 1" % (lineno, n))
                 elif kw in ends:
                     pos, arc = args
-                    pos = int(pos)
+                    pos = _decimal(pos)
                     if pos in ends[kw]:
                         raise DiagramError("line %d: repeated '%s %d' line" % (lineno, kw, pos))
                     ends[kw][pos] = arc

@@ -132,15 +132,12 @@ class BraidWord:
                         a, b, out = frame[1], out, frame[0]
                         out += _invert(a) + _invert(b) + a + b
                 else:
-                    out.append(_letter(tok, lineno))
+                    out.append(_letter(tok, lineno, n))
         if n is None:
             raise WordParseError("missing 'n=<strands>' header")
         if stack:
             raise WordParseError("unterminated commutator")
-        try:
-            return cls(n, out)
-        except ValueError as exc:
-            raise WordParseError(str(exc))
+        return cls(n, out)
 
     def __eq__(self, other):
         return isinstance(other, BraidWord) and self.n == other.n and self.letters == other.letters
@@ -159,11 +156,18 @@ def _invert(letters):
     return [("s", lt[1], -lt[2]) if lt[0] == "s" else lt for lt in reversed(letters)]
 
 
+def _decimal(tok):
+    """int(tok), refusing the underscores and non-ASCII digits int() also reads."""
+    if "_" in tok or not tok.isascii():
+        raise ValueError("not a decimal integer: %r" % tok)
+    return int(tok)
+
+
 def _strand_count(tok, lineno):
     if not tok.startswith("n="):
         raise WordParseError("line %d: expected 'n=<strands>' header" % lineno)
     try:
-        n = int(tok[2:])
+        n = _decimal(tok[2:])
     except ValueError:
         raise WordParseError("line %d: bad strand count %r" % (lineno, tok[2:]))
     if n < 1:
@@ -171,16 +175,16 @@ def _strand_count(tok, lineno):
     return n
 
 
-def _letter(tok, lineno):
+def _letter(tok, lineno, n):
+    virtual = tok[0] == "v"
     try:
-        if tok.startswith("v"):
-            return ("t", int(tok[1:]))
-        k = int(tok)
+        k = _decimal(tok[1:] if virtual else tok)
     except ValueError:
         raise WordParseError("line %d: bad token %r" % (lineno, tok))
-    if k == 0:
-        raise WordParseError("line %d: generator index 0" % lineno)
-    return ("s", abs(k), 1 if k > 0 else -1)
+    i = k if virtual else abs(k)
+    if not 0 < i < n:
+        raise WordParseError("line %d: generator index %d outside 1..%d" % (lineno, i, n - 1))
+    return ("t", i) if virtual else ("s", i, 1 if k > 0 else -1)
 
 
 def commutator(a, b):

@@ -124,6 +124,20 @@ def test_unterminated_commutator_at_any_depth(tmp_path, capsys, depth):
 @pytest.mark.parametrize("text, err", [
     ("n=3\n\n# c\n1 2\n1 x\n", "error: line 5: bad token 'x'\n"),
     ("\n\nn=q\n1\n", "error: line 3: bad strand count 'q'\n"),
+    # numbers are optionally signed ASCII digits: no underscores, no other scripts
+    ("n=1_2\n1\n", "error: line 1: bad strand count '1_2'\n"),
+    ("n=\u0663\n1\n", "error: line 1: bad strand count '\u0663'\n"),
+    ("n=12\n1 1_0\n", "error: line 2: bad token '1_0'\n"),
+    ("n=12\n-1_0\n", "error: line 2: bad token '-1_0'\n"),
+    ("n=12\nv1_0\n", "error: line 2: bad token 'v1_0'\n"),
+    ("n=3\n\u0661\n", "error: line 2: bad token '\u0661'\n"),
+    ("n=3\n1\n\n5\n", "error: line 4: generator index 5 outside 1..2\n"),
+    ("n=3 -3\n", "error: line 1: generator index 3 outside 1..2\n"),
+    ("n=3\nv3\n", "error: line 2: generator index 3 outside 1..2\n"),
+    ("n=3\nv-1\n", "error: line 2: generator index -1 outside 1..2\n"),
+    ("n=3\n0\n", "error: line 2: generator index 0 outside 1..2\n"),
+    ("n=1\n1\n", "error: line 2: generator index 1 outside 1..0\n"),
+    ("n=3\n[1, [2, 7]]\n", "error: line 2: generator index 7 outside 1..2\n"),
 ])
 def test_word_errors_name_the_line_in_the_file(tmp_path, capsys, text, err):
     word = write(tmp_path, "w.braid", text)
@@ -194,6 +208,10 @@ x + a2 x1 a1 x2
     ("bottom 2 x2", "bottom 2 x2\nbottom 2 x3"),
     ("strands 2", "strands 0"),
     ("strands 2", "strands -1"),
+    ("strands 2", "strands 0_2"),
+    ("strands 2", "strands \u0662"),
+    ("top 2 a2", "top 0_2 a2"),
+    ("bottom 1 x1", "bottom 1_0 x1"),
 ])
 def test_malformed_diagram_line_is_a_parse_error(tmp_path, capsys, line, bad):
     text = "strands 2\ntop 1 a1\ntop 2 a2\nbottom 1 x1\nbottom 2 x2\nx + a2 x1 a1 x2\n"
@@ -256,6 +274,11 @@ def test_lm_decompose(capsys):
     status, out, _ = run(capsys, "lm", "decompose", "--n", "2")
     assert status == 0
     assert "ok: True" in out
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_lm_decompose_needs_two_strands(capsys, n):
+    assert run(capsys, "lm", "decompose", "--n", n) == (1, "", "error: need n >= 2\n")
 
 
 def test_lm_irreducible_json(capsys):
@@ -408,6 +431,81 @@ def test_strand_count_below_one_is_a_parse_error(tmp_path, capsys, argv, header)
     assert err.startswith("error:") and "strand count" in err and "Traceback" not in err
 
 
+# the whole report, pinned: every verdict, method, prime and point
+KERNEL_WORDS_JSON = """\
+{
+  "sigma": {
+    "n": 5,
+    "burau_identity": true,
+    "lm_identity": true,
+    "t1lm_identity": false,
+    "method": {
+      "burau_identity": "exact",
+      "lm_identity": "exact",
+      "t1lm_identity": {
+        "p": 268435459,
+        "point": {
+          "t": 206827001,
+          "q": 225792652
+        }
+      }
+    }
+  },
+  "tau": {
+    "n": 6,
+    "burau_identity": true,
+    "lm_identity": true,
+    "t1lm_identity": false,
+    "method": {
+      "burau_identity": "exact",
+      "lm_identity": "exact",
+      "t1lm_identity": {
+        "p": 268435459,
+        "point": {
+          "t": 206827001,
+          "q": 225792652
+        }
+      }
+    }
+  },
+  "xi": {
+    "n": 6,
+    "burau_identity": true,
+    "lm_identity": true,
+    "t1lm_identity": false,
+    "method": {
+      "burau_identity": "exact",
+      "lm_identity": "exact",
+      "t1lm_identity": {
+        "p": 268435459,
+        "point": {
+          "t": 206827001,
+          "q": 225792652
+        }
+      }
+    }
+  },
+  "upsilon": {
+    "n": 7,
+    "burau_identity": true,
+    "lm_identity": true,
+    "t1lm_identity": false,
+    "method": {
+      "burau_identity": "exact",
+      "lm_identity": "exact",
+      "t1lm_identity": {
+        "p": 268435459,
+        "point": {
+          "t": 206827001,
+          "q": 225792652
+        }
+      }
+    }
+  }
+}
+"""
+
+
 def test_lm_kernel_words_reports_the_method_of_every_verdict(capsys):
     status, out, _ = run(capsys, "--format", "json", "lm", "kernel-words")
     assert status == 0
@@ -420,3 +518,4 @@ def test_lm_kernel_words_reports_the_method_of_every_verdict(capsys):
             m = r["method"][key]
             # identity verdicts are exact; a modular method is a certificate
             assert m == "exact" or (not r[key] and set(m) == {"p", "point"})
+    assert out == KERNEL_WORDS_JSON

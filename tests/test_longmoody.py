@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from braidrep import reproduce
-from braidrep.longmoody import (WITNESS_PRIME, _identity_verdict,
+from braidrep.longmoody import (WITNESS_PRIME, _identity_verdict, _semidirect_pair,
                                 block_formula_lm_q_tym, check_semidirect,
                                 decompose_check, identify_trivial_burau,
                                 intertwining_check, irreducibility_probe,
@@ -13,7 +13,7 @@ from braidrep.longmoody import (WITNESS_PRIME, _identity_verdict,
 from braidrep.matrices import RingMatrix, direct_sum
 from braidrep.reps import GenRep, make_burau, make_one_dim, make_tym, tensor_one_dim
 from braidrep.ring import PrimeField, RingContext, specialize
-from braidrep.words import BraidWord
+from braidrep.words import BraidWord, FreeWord
 
 TQ = RingContext(("t", "q"))
 
@@ -79,12 +79,10 @@ def lm_q_reference(rho):
 def lm_semidirect_q_reference(eta):
     """lm_semidirect(eta, q_twist=True) by its definition: sigma and x
     images scaled by q, the construction, then the result scaled by q^{-1}."""
-    q = eta.ring.var("q")
-    braid = tensor_one_dim(eta.braid, q)
+    q = eta.braid.ring.var("q")
     twisted = SemidirectRep(
-        eta.n, eta.dim, eta.ring, braid.sigma_images, braid.sigma_inv_images,
-        {j: m.scale(q) for j, m in eta.x_images.items()},
-        {j: m.scale(q.inverse()) for j, m in eta.x_inv_images.items()})
+        tensor_one_dim(eta.braid, q),
+        {lt: m.scale(q if lt[1] > 0 else q.inverse()) for lt, m in eta.x.items()})
     return tensor_one_dim(lm_semidirect(twisted), q.inverse())
 
 
@@ -134,9 +132,7 @@ def test_lm_semidirect_trivial_x_images():
     ring = RingContext(("t",))
     tym = make_tym(n, ring)
     ident = RingMatrix.identity(ring, n)
-    eta = SemidirectRep(n, n, ring, tym.sigma_images, tym.sigma_inv_images,
-                        {i: ident for i in range(1, n + 1)},
-                        {i: ident for i in range(1, n + 1)})
+    eta = SemidirectRep(tym, {(i, s): ident for i in range(1, n + 1) for s in (1, -1)})
     rep = lm_semidirect(eta)
     s = rep.sigma_images[1]
     d = n
@@ -259,12 +255,9 @@ def test_intertwining_check_names_the_failing_pairs():
 
 def test_check_semidirect_names_the_failing_pairs():
     eta = make_eta(3)
-    tym = make_tym(3, eta.ring)
-    x = dict(eta.x_images)
-    x_inv = dict(eta.x_inv_images)
-    x[1], x_inv[1] = x[2], x_inv[2]
-    broken = SemidirectRep(3, 3, eta.ring, tym.sigma_images, tym.sigma_inv_images,
-                           x, x_inv)
+    x = dict(eta.x)
+    x[(1, 1)], x[(1, -1)] = x[(2, 1)], x[(2, -1)]
+    broken = SemidirectRep(make_tym(3, eta.braid.ring), x)
     assert check_semidirect(broken) == [(1, 1), (1, 2), (2, 1)]
 
 
@@ -343,3 +336,31 @@ def test_modular_certificate_rechecks():
 def test_kernel_experiment_is_deterministic():
     words = {"tau": kernel_words()["tau"]}
     assert kernel_experiment(words) == kernel_experiment(words)
+
+
+def test_identity_verdict_refuses_wrong_inverse_images():
+    tym = make_tym(3)
+    sig_inv = dict(tym.sigma_inv_images)
+    sig_inv[2] = tym.sigma_images[2]
+    broken = GenRep(3, 3, tym.ring, tym.sigma_images, sig_inv, name="broken")
+    word = BraidWord(3, [("s", 1, 1), ("s", 2, 1), ("s", 1, -1), ("s", 2, -1)])
+    with pytest.raises(ValueError, match="inverse image of sigma_2 in broken is not its "
+                                         "inverse mod %d" % WITNESS_PRIME):
+        _identity_verdict(broken, word)
+    # a word that holds only one of the two images is not checked
+    assert _identity_verdict(broken, BraidWord(3, [("s", 2, -1)]))[0] is False
+
+
+@pytest.mark.parametrize("make", [lambda: make_eta(4, TQ),
+                                  lambda: _semidirect_pair(make_burau(5, TQ.var("t")))])
+def test_x_word_is_the_product_of_the_x_images(make):
+    eta = make()
+    rank = eta.braid.n
+    rng = random.Random(rank)
+    for length in (0, 1, 2, 7, 15):
+        w = FreeWord(rank, [(rng.randrange(1, rank + 1), rng.choice((1, -1)))
+                            for _ in range(length)])
+        expect = RingMatrix.identity(eta.braid.ring, eta.braid.dim)
+        for lt in w.letters:
+            expect = expect * eta.x[lt]
+        assert eta.x_word(w) == expect

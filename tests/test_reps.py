@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidrep.longmoody import lm_q
+from braidrep.longmoody import (lm_apply, lm_q, lm_semidirect, make_eta,
+                                reduced_lm3)
 from braidrep.matrices import RingMatrix
 from braidrep.reps import (GenRep, make_burau, make_one_dim, make_tym,
                            make_wtym, tensor_one_dim)
@@ -214,3 +215,53 @@ def test_evaluate_on_dense_images_is_the_triple_loop_product(name):
         for lt in word.letters[1:]:
             expect = entrywise_product(expect, rep.letter_image(lt))
         assert rep.evaluate(word) == expect
+
+
+FACTORIES = {
+    "burau": lambda: make_burau(4, T.var("t")),
+    "tym": lambda: make_tym(4),
+    "wtym": lambda: make_wtym(4),
+    "wtym1": lambda: make_wtym(1),
+    "onedim": lambda: make_one_dim(4, T.var("t", -2)),
+    "tym*onedim": lambda: tensor_one_dim(make_tym(4, TQ), TQ.var("q")),
+    "wtym*onedim": lambda: tensor_one_dim(make_wtym(3), make_wtym(3).ring.var("al")),
+    "lm_apply": lambda: lm_apply(make_tym(4)),
+    "lm_q": lambda: lm_q(make_burau(4, TQ.var("t"))),
+    "lm_semidirect": lambda: lm_semidirect(make_eta(3, TQ), q_twist=True),
+    "reduced_lm3": reduced_lm3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_letter_image_is_the_views(name):
+    rep = FACTORIES[name]()
+    welded = name.startswith("wtym")
+    assert (rep.tau_images is None) == (not welded)
+    views = {"s": rep.sigma_images, "S": rep.sigma_inv_images, "t": rep.tau_images or {}}
+    indices = list(range(1, rep.n))
+    assert sorted(views["s"]) == sorted(views["S"]) == indices
+    assert sorted(views["t"]) == (indices if welded else [])
+    for i in range(1, rep.n):
+        assert rep.letter_image(("s", i, 1)) is views["s"][i]
+        assert rep.letter_image(("s", i, -1)) is views["S"][i]
+        if welded:
+            assert rep.letter_image(("t", i)) is views["t"][i]
+        else:
+            with pytest.raises(ValueError, match="no virtual generator images"):
+                rep.letter_image(("t", i))
+
+
+@pytest.mark.parametrize("name", ["burau", "tym", "wtym", "lm_apply"])
+def test_a_view_is_a_copy(name):
+    rep = FACTORIES[name]()
+    word = random_word(random.Random(3), rep.n, 12, virtual=name == "wtym")
+    before = rep.evaluate(word)
+    other = rep.letter_image(("s", 2, 1))
+    for view in (rep.sigma_images, rep.sigma_inv_images, rep.tau_images or {}):
+        for i in view:
+            view[i] = other
+        view.clear()
+    assert rep.sigma_images and rep.sigma_inv_images
+    assert rep.evaluate(word) == before
+    assert GenRep(rep.n, rep.dim, rep.ring, rep.sigma_images, rep.sigma_inv_images,
+                  rep.tau_images).evaluate(word) == before
