@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit status: 0 on success, 1 on domain errors (bad math input), 2 on
-parse errors (malformed files or flags).
+parse errors (malformed files or flags).  Commands raise; `main` alone
+turns an error into a status.
 """
 from __future__ import annotations
 
@@ -10,8 +11,7 @@ import json
 import sys
 
 from .reps import make_burau, make_one_dim, make_tym, make_wtym
-from .ring import (ContextMismatch, NotAUnit, PolyParseError, RingContext,
-                   _render_polys, _tokenize, specialize)
+from .ring import PolyParseError, RingContext, _render_polys, _tokenize, specialize
 from .stringlinks import (Diagram, DiagramError, MODES, diagram_from_word,
                           kernel_predicate, linking_profile_diagram, tym_matrix)
 from .words import BraidWord, WordParseError
@@ -26,10 +26,12 @@ class CliError(Exception):
 
 def _read(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise CliError(str(exc), 2)
+    except UnicodeDecodeError as exc:
+        raise CliError("%s: byte %d is not UTF-8 text (%s)" % (path, exc.start, exc.reason), 2)
 
 
 def load_word(path):
@@ -108,10 +110,7 @@ def _make_rep(name, n, ring=None):
 def cmd_eval(args, out):
     word = load_word(args.word)
     rep = _make_rep(args.rep, word.n)
-    try:
-        m = rep.evaluate(word)
-    except ValueError as exc:
-        raise CliError(str(exc), 1)
+    m = rep.evaluate(word)
     if args.spec:
         images = {}
         for item in args.spec:
@@ -128,24 +127,15 @@ def cmd_eval(args, out):
                      for kind, name in _tokenize(text) if kind == "name"}
         keep = [v for v in rep.ring.variables if v not in images]
         target = RingContext(tuple(keep) + tuple(sorted(mentioned - set(keep))))
-        try:
-            full = {v: target.parse(images.get(v, v)) for v in rep.ring.variables}
-            m = m.map_entries(lambda p: specialize(p, full, target), ring=target)
-        except PolyParseError as exc:
-            raise CliError(str(exc), 2)
-        except (NotAUnit, ContextMismatch) as exc:
-            raise CliError(str(exc), 1)
+        full = {v: target.parse(images.get(v, v)) for v in rep.ring.variables}
+        m = m.map_entries(lambda p: specialize(p, full, target), ring=target)
     emit_matrix(m, args.format, out)
     return 0
 
 
 def cmd_invariant(args, out):
-    d = load_input(args)
-    try:
-        m = tym_matrix(d, args.mode,
-                       self_writhe_correction=not args.no_correction)
-    except (DiagramError, ValueError) as exc:
-        raise CliError(str(exc), 1)
+    m = tym_matrix(load_input(args), args.mode,
+                   self_writhe_correction=not args.no_correction)
     emit_matrix(m, args.format, out)
     return 0
 
@@ -166,11 +156,7 @@ def cmd_linking(args, out):
 
 
 def cmd_kernel_check(args, out):
-    d = load_input(args)
-    try:
-        verdict = kernel_predicate(d, args.thm)
-    except (DiagramError, ValueError) as exc:
-        raise CliError(str(exc), 1)
+    verdict = kernel_predicate(load_input(args), args.thm)
     emit_obj({"criterion": args.thm, "in_kernel": verdict}, args.format, out)
     return 0
 
@@ -295,9 +281,13 @@ def build_parser():
     return parser
 
 
+# Built once per process: every main() call in it parses with this one tree.
+PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the only place where an error becomes an exit status."""
+    args = PARSER.parse_args(argv)
     try:
         return args.fn(args, sys.stdout)
     except CliError as exc:
@@ -306,7 +296,7 @@ def main(argv=None):
     except (WordParseError, PolyParseError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (DiagramError, NotAUnit, ContextMismatch, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

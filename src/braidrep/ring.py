@@ -203,9 +203,6 @@ class LaurentPoly:
     def is_one(self):
         return self.terms == {0: 1}
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     def is_unit(self):
         """Units of Z[Lambda] are +-(single monomial)."""
         if len(self.terms) != 1:

@@ -137,7 +137,10 @@ class BraidWord:
             raise WordParseError("missing 'n=<strands>' header")
         if stack:
             raise WordParseError("unterminated commutator")
-        return cls(n, out)
+        # _letter has checked every letter against n; skip the constructor's pass
+        word = cls.__new__(cls)
+        word.n, word.letters = n, tuple(out)
+        return word
 
     def __eq__(self, other):
         return isinstance(other, BraidWord) and self.n == other.n and self.letters == other.letters

@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from braidrep import longmoody, reproduce
+from braidrep import cli, longmoody, reproduce
 from braidrep.cli import emit_matrix, main
 from braidrep.reps import make_tym, make_wtym
 from braidrep.ring import RingContext, poly_render
@@ -519,3 +519,104 @@ def test_lm_kernel_words_reports_the_method_of_every_verdict(capsys):
             # identity verdicts are exact; a modular method is a certificate
             assert m == "exact" or (not r[key] and set(m) == {"p", "point"})
     assert out == KERNEL_WORDS_JSON
+
+
+INPUTS = {
+    "bad.braid": "n=3\n1 q\n",
+    "w.braid": "n=3\n1 -2\n",
+    "virtual.braid": "n=3\nv1 1\n",
+    "nonpure.braid": "n=3\n1 2\n",
+    "twice.braid": "n=2\n1 1\n",
+    "bad.dia": "strands 0\n",
+}
+
+
+# one input per error path, each output as it was before main became the only
+# place that decides an exit status
+@pytest.mark.parametrize("argv, status, err", [
+    (("eval", "--rep", "tym", "--word", "bad.braid"), 2, "line 2: bad token 'q'"),
+    (("eval", "--rep", "tym", "--word", "w.braid", "--spec", "t=(1"), 2,
+     "bad token at offset 0 in '(1'"),
+    (("eval", "--rep", "tym", "--word", "w.braid", "--spec", "t"), 2,
+     "bad --spec item 't', expected var=poly"),
+    (("eval", "--rep", "tym", "--word", "w.braid", "--spec", "u=1"), 2,
+     "--spec variable 'u' is not in the ring of tym ('t',)"),
+    (("linking", "--word", "missing.braid"), 2,
+     "[Errno 2] No such file or directory: 'missing.braid'"),
+    (("invariant", "--mode", "w3", "--diagram", "bad.dia"), 2, "line 1: strand count 0 is below 1"),
+    (("invariant", "--mode", "2var", "--word", "virtual.braid"), 1,
+     "virtual crossings need a welded mode"),
+    (("kernel-check", "--thm", "319", "--word", "nonpure.braid"), 1,
+     "criterion 319 needs a pure diagram"),
+    (("eval", "--rep", "tym", "--word", "virtual.braid"), 1,
+     "representation has no virtual generator images"),
+    (("eval", "--rep", "tym", "--word", "w.braid", "--spec", "t=2"), 1,
+     "image of t is not a unit: <2>"),
+    (("eval", "--rep", "onedim:t^2147483647", "--word", "twice.braid"), 1,
+     "product has an exponent outside +-2147483647"),
+    (("lm", "build", "--source", "tym", "--n", "1"), 1, "need n >= 2"),
+    (("lm", "irreducible", "--trials", "0"), 2, "--trials must be at least 1, got 0"),
+])
+def test_each_error_path_has_one_exit_status(tmp_path, capsys, monkeypatch, argv, status, err):
+    for name, text in INPUTS.items():
+        write(tmp_path, name, text)
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (status, "", "error: %s\n" % err)
+
+
+def test_a_shared_parser_call_matches_the_call_run_alone(tmp_path, capsys, monkeypatch):
+    for name, text in INPUTS.items():
+        write(tmp_path, name, text)
+    monkeypatch.chdir(tmp_path)
+    calls = [
+        ("eval", "--rep", "tym", "--word", "w.braid", "--spec", "t=-1"),
+        ("eval", "--rep", "tym", "--word", "w.braid"),
+        ("--format", "json", "invariant", "--mode", "multi", "--word", "w.braid"),
+        ("invariant", "--mode", "multi", "--word", "w.braid"),
+        ("eval", "--rep", "tym", "--spec"),  # argparse error: --word is required
+        ("--format", "json", "kernel-check", "--thm", "48", "--word", "w.braid"),
+        ("eval", "--rep", "burau", "--word", "w.braid"),
+        ("--format", "json", "--seed", "3", "lm", "irreducible", "--trials", "1"),
+        ("linking", "--word", "w.braid"),
+        ("lm", "irreducible", "--trials", "1"),
+        ("eval", "--rep", "tym", "--word", "w.braid", "--spec", "t=-t^-1"),
+        ("invariant", "--mode", "w3", "--no-correction", "--word", "w.braid"),
+        ("invariant", "--mode", "w3", "--word", "w.braid"),
+    ]
+
+    def call(argv):
+        try:
+            status = main(list(argv))
+        except SystemExit as exc:
+            status = ("exit", exc.code)
+        out = capsys.readouterr()
+        return status, out.out, out.err
+
+    shared = [call(argv) for argv in calls]
+    alone = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "PARSER", cli.build_parser())
+        alone.append(call(argv))
+    assert shared == alone
+    assert shared[4][0] == ("exit", 2) and "--word" in shared[4][2]
+    assert shared[0][1] != shared[1][1] and shared[2][1] != shared[3][1]
+
+
+NOT_UTF8 = b"n=3\n1 \xff 2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--rep", "tym", "--word"),
+    ("invariant", "--mode", "w3", "--word"),
+    ("invariant", "--mode", "w3", "--diagram"),
+    ("linking", "--word"),
+    ("linking", "--diagram"),
+    ("kernel-check", "--thm", "48", "--word"),
+    ("kernel-check", "--thm", "48", "--diagram"),
+])
+def test_a_file_that_is_not_utf8_text_is_a_parse_error(tmp_path, capsys, argv):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(NOT_UTF8)
+    status, out, err = run(capsys, *argv, str(path))
+    assert (status, out) == (2, "")
+    assert err == "error: %s: byte 6 is not UTF-8 text (invalid start byte)\n" % path

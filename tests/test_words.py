@@ -36,6 +36,23 @@ def test_word_parse_errors():
         BraidWord.parse("n=2\nvx")
 
 
+@pytest.mark.parametrize("letter, err", [
+    (("s", 3, 1), "bad letter"),   # index outside 1..n-1
+    (("t", 0), "bad letter"),
+    (("s", 1, 2), "bad letter"),   # sign other than +-1
+    (("x", 1), "unknown letter"),
+])
+def test_constructor_checks_letters_for_library_callers(letter, err):
+    with pytest.raises(ValueError, match=err):
+        BraidWord(3, [("s", 1, 1), letter])
+
+
+def test_parse_builds_the_word_the_constructor_builds():
+    w = BraidWord.parse("n=3\n1 -2 v2 [1, v1]")
+    assert type(w.letters) is tuple
+    assert w == BraidWord(3, w.letters) and hash(w) == hash(BraidWord(3, w.letters))
+
+
 def test_header_may_share_its_line():
     assert BraidWord.parse("n=3 1 -2") == BraidWord.parse("n=3\n1 -2")
 
