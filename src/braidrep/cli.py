@@ -107,28 +107,37 @@ def _make_rep(name, n, ring=None):
     raise CliError("unknown representation %r" % name, 2)
 
 
+def _parse_spec(items, ring, rep_name):
+    """The images of the --spec items `var=poly` and the context they land in.
+
+    The target context keeps the unspecialized variables and gains any
+    variables mentioned on the right hand sides.
+    """
+    images = {}
+    for item in items:
+        if "=" not in item:
+            raise CliError("bad --spec item %r, expected var=poly" % item, 2)
+        var, text = item.split("=", 1)
+        if var not in ring.variables:
+            raise CliError("--spec variable %r is not in the ring of %s %r"
+                           % (var, rep_name, ring.variables), 2)
+        images[var] = text
+    mentioned = {name for text in images.values()
+                 for kind, name in _tokenize(text) if kind == "name"}
+    keep = [v for v in ring.variables if v not in images]
+    target = RingContext(tuple(keep) + tuple(sorted(mentioned - set(keep))))
+    return {v: target.parse(images.get(v, v)) for v in ring.variables}, target
+
+
 def cmd_eval(args, out):
     word = load_word(args.word)
     rep = _make_rep(args.rep, word.n)
+    # every --spec item is read before the word is evaluated
+    spec = _parse_spec(args.spec, rep.ring, args.rep) if args.spec else None
     m = rep.evaluate(word)
-    if args.spec:
-        images = {}
-        for item in args.spec:
-            if "=" not in item:
-                raise CliError("bad --spec item %r, expected var=poly" % item, 2)
-            var, text = item.split("=", 1)
-            if var not in rep.ring.variables:
-                raise CliError("--spec variable %r is not in the ring of %s %r"
-                               % (var, args.rep, rep.ring.variables), 2)
-            images[var] = text
-        # the target context keeps unspecialized variables and gains any
-        # variables mentioned on the right hand sides
-        mentioned = {name for text in images.values()
-                     for kind, name in _tokenize(text) if kind == "name"}
-        keep = [v for v in rep.ring.variables if v not in images]
-        target = RingContext(tuple(keep) + tuple(sorted(mentioned - set(keep))))
-        full = {v: target.parse(images.get(v, v)) for v in rep.ring.variables}
-        m = m.map_entries(lambda p: specialize(p, full, target), ring=target)
+    if spec:
+        images, target = spec
+        m = m.map_entries(lambda p: specialize(p, images, target), ring=target)
     emit_matrix(m, args.format, out)
     return 0
 

@@ -259,18 +259,18 @@ def block_formula_lm_q_tym(n, i):
 
 
 def _field_dtype(d, p):
-    """int64 while a product entry, at most d*(p-1)^2, stays below 2^63."""
+    """int64 while a sum of d products of residues, at most d*(p-1)^2, stays below 2^63."""
     return np.int64 if d * (p - 1) ** 2 < 2 ** 63 else object
 
 
-def _images_mod_p(rep, letters, field, point):
-    """The letters' images at unit values `point` of the variables mod p, keyed by letter.
+def _images_mod_p(rep, letters, field, point, dtype):
+    """The letters' images at unit values `point` of the variables mod p, keyed by letter,
+    as arrays of `dtype`.
 
     Where both sigma_i and its inverse are among the letters, their images
     are checked mod p: ValueError if the product is not I.
     """
     p = field.p
-    dtype = _field_dtype(rep.dim, p)
     out = {}
     for lt in letters:
         m = rep.letter_image(lt)
@@ -287,28 +287,62 @@ def _images_mod_p(rep, letters, field, point):
     return out
 
 
-class _SpanBasis:
-    """Row echelon basis of a subspace of F_p^(d*d)."""
+class _EchelonBasis:
+    """A subspace of F_p^n in reduced row echelon form.
 
-    def __init__(self, p):
+    `rows` is a k x n array with entries in 0..p-1 whose columns `pivots`
+    are the k x k identity.  Reducing a vector against it sums up to n
+    products of residues, so the dtype is _field_dtype(n, p).
+    """
+
+    __slots__ = ("p", "rows", "pivots")
+
+    def __init__(self, p, n):
         self.p = p
-        self.pivots = {}
-
-    def add(self, vec):
-        v = vec % self.p
-        for piv, row in self.pivots.items():
-            if v[piv]:
-                v = (v - v[piv] * row) % self.p
-        nz = np.nonzero(v)[0]
-        if len(nz) == 0:
-            return False
-        piv = int(nz[0])
-        v = (v * pow(int(v[piv]), -1, self.p)) % self.p
-        self.pivots[piv] = v
-        return True
+        self.rows = np.zeros((0, n), dtype=_field_dtype(n, p))
+        self.pivots = []
 
     def dim(self):
         return len(self.pivots)
+
+    def add(self, block):
+        """Add the span of `block`'s rows, entries in 0..p-1; return the rows it adds.
+
+        The block is reduced in place against the basis with one product.
+        Each nonzero row left is reduced against the rows this call has
+        already added, which stay in reduced echelon form among themselves;
+        then one product reduces the old rows against the new ones.
+        """
+        p = self.p
+        k, n = self.rows.shape
+        red = block[:, self.pivots] @ self.rows
+        red %= p
+        block -= red
+        block %= p
+        block = block[block.any(axis=1)]
+        new = np.zeros((min(len(block), n - k), n), dtype=self.rows.dtype)
+        piv = []
+        for v in block:
+            m = len(piv)
+            if m:
+                v = v - (v[piv] @ new[:m]) % p
+                v %= p
+            nz = np.flatnonzero(v)
+            if len(nz) == 0:
+                continue
+            c = int(nz[0])
+            v = (v * pow(int(v[c]), -1, p)) % p
+            new[:m] -= np.outer(new[:m, c], v)
+            new[:m] %= p
+            new[m] = v
+            piv.append(c)
+        new = new[:len(piv)].copy()
+        if piv:
+            self.rows -= self.rows[:, piv] @ new
+            self.rows %= p
+            self.rows = np.concatenate((self.rows, new))
+            self.pivots += piv
+        return new
 
 
 def irreducibility_probe(rep, p=10007, trials=5, seed=0):
@@ -316,12 +350,14 @@ def irreducibility_probe(rep, p=10007, trials=5, seed=0):
 
     A trial specializes every variable to a random nonzero value mod p and
     closes the span of words in the generator images and their inverses
-    under multiplication.  Reaching dimension d*d in any trial certifies
-    that no proper invariant subspace can exist generically.  The inverses
-    are the representation's own inverse images, specialized the same way
-    and checked mod p: ValueError if some g * g_inv is not I.  `p` must be
-    prime and `trials` at least 1 (ValueError otherwise).  Arithmetic is on
-    int64 while a matrix product entry, at most d*(p-1)^2, stays below
+    under multiplication: the identity first, then one frontier of new
+    basis vectors at a time, each multiplied by every generator.  Reaching
+    dimension d*d in any trial certifies that no proper invariant subspace
+    can exist generically.  The inverses are the representation's own
+    inverse images, specialized the same way and checked mod p: ValueError
+    if some g * g_inv is not I.  `p` must be prime and `trials` at least 1
+    (ValueError otherwise).  Reducing a vector of length d*d sums up to
+    d*d products, so arithmetic is on int64 while d*d*(p-1)^2 stays below
     2^63, and on exact Python integers above.
     """
     if trials < 1:
@@ -329,23 +365,26 @@ def irreducibility_probe(rep, p=10007, trials=5, seed=0):
     field = PrimeField(p)
     rng = random.Random(seed)
     d = rep.dim
-    eye = np.eye(d, dtype=_field_dtype(d, p))
+    n = d * d
+    dtype = _field_dtype(n, p)
     best = 0
     letters = [("s", i, s) for i in range(1, rep.n) for s in (1, -1)]
     for trial in range(1, trials + 1):
         values = {v: rng.randrange(1, p) for v in rep.ring.variables}
-        gens = list(_images_mod_p(rep, letters, field, values).values())
-        basis = _SpanBasis(p)
-        queue = [eye]
-        basis.add(queue[0].reshape(-1))
-        while queue and basis.dim() < d * d:
-            m = queue.pop()
+        gens = list(_images_mod_p(rep, letters, field, values, dtype).values())
+        basis = _EchelonBasis(p, n)
+        frontier = basis.add(np.eye(d, dtype=dtype).reshape(1, n))
+        while len(frontier) and basis.dim() < n:
+            added = []
             for g in gens:
-                prod = (m @ g) % p
-                if basis.add(prod.reshape(-1)):
-                    queue.append(prod)
+                block = frontier.reshape(-1, d) @ g
+                block %= p
+                added.append(basis.add(block.reshape(-1, n)))
+                if basis.dim() == n:
+                    break
+            frontier = np.concatenate(added)
         best = max(best, basis.dim())
-        if best == d * d:
+        if best == n:
             return {"dimension": best, "full": True, "trials_used": trial}
     return {"dimension": best, "full": False, "trials_used": trials}
 
@@ -398,8 +437,9 @@ def _identity_verdict(rep, word):
     p = WITNESS_PRIME
     rng = random.Random(0)  # a fixed point, so reports repeat exactly
     point = {v: rng.randrange(2, p - 1) for v in rep.ring.variables}
-    gens = _images_mod_p(rep, dict.fromkeys(word.letters), PrimeField(p), point)
-    eye = np.eye(rep.dim, dtype=_field_dtype(rep.dim, p))
+    dtype = _field_dtype(rep.dim, p)
+    gens = _images_mod_p(rep, dict.fromkeys(word.letters), PrimeField(p), point, dtype)
+    eye = np.eye(rep.dim, dtype=dtype)
     prod = eye
     for lt in word.letters:
         prod = (prod @ gens[lt]) % p

@@ -166,15 +166,27 @@ def _decimal(tok):
     return int(tok)
 
 
+def _shown(tok):
+    """repr(tok), or past 20 characters the repr of its first 20 and its length."""
+    if len(tok) <= 20:
+        return repr(tok)
+    return "%r... (%d characters)" % (tok[:20], len(tok))
+
+
+def _number(k, tok):
+    """The integer k read from tok, for an error message: tok's excerpt if it is long."""
+    return "%d" % k if len(tok) <= 20 else _shown(tok)
+
+
 def _strand_count(tok, lineno):
     if not tok.startswith("n="):
         raise WordParseError("line %d: expected 'n=<strands>' header" % lineno)
     try:
         n = _decimal(tok[2:])
     except ValueError:
-        raise WordParseError("line %d: bad strand count %r" % (lineno, tok[2:]))
+        raise WordParseError("line %d: bad strand count %s" % (lineno, _shown(tok[2:])))
     if n < 1:
-        raise WordParseError("line %d: strand count %d is below 1" % (lineno, n))
+        raise WordParseError("line %d: strand count %s is below 1" % (lineno, _number(n, tok[2:])))
     return n
 
 
@@ -183,10 +195,11 @@ def _letter(tok, lineno, n):
     try:
         k = _decimal(tok[1:] if virtual else tok)
     except ValueError:
-        raise WordParseError("line %d: bad token %r" % (lineno, tok))
+        raise WordParseError("line %d: bad token %s" % (lineno, _shown(tok)))
     i = k if virtual else abs(k)
     if not 0 < i < n:
-        raise WordParseError("line %d: generator index %d outside 1..%d" % (lineno, i, n - 1))
+        raise WordParseError("line %d: generator index %s outside 1..%d"
+                             % (lineno, _number(i, tok), n - 1))
     return ("t", i) if virtual else ("s", i, 1 if k > 0 else -1)
 
 

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from braidrep import cli, longmoody, reproduce
 from braidrep.cli import emit_matrix, main
-from braidrep.reps import make_tym, make_wtym
+from braidrep.reps import GenRep, make_tym, make_wtym
 from braidrep.ring import RingContext, poly_render
 from braidrep.stringlinks import MODES, diagram_from_word
 from braidrep.words import BraidWord
@@ -142,6 +142,24 @@ def test_unterminated_commutator_at_any_depth(tmp_path, capsys, depth):
 def test_word_errors_name_the_line_in_the_file(tmp_path, capsys, text, err):
     word = write(tmp_path, "w.braid", text)
     assert run(capsys, "linking", "--word", word) == (2, "", err)
+
+
+@pytest.mark.parametrize("text, err", [
+    # past int()'s 4300-digit limit, a bad token
+    ("n=3\n1 " + "1" * 5000 + "\n",
+     "error: line 2: bad token '11111111111111111111'... (5000 characters)\n"),
+    # below it, a number outside the range
+    ("n=3\n-" + "2" * 4000 + "\n",
+     "error: line 2: generator index '-2222222222222222222'... (4001 characters) outside 1..2\n"),
+    ("n=" + "x" * 5000 + "\n1\n",
+     "error: line 1: bad strand count 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)\n"),
+    ("n=-" + "3" * 4000 + "\n1\n",
+     "error: line 1: strand count '-3333333333333333333'... (4001 characters) is below 1\n"),
+], ids=["bad-token", "generator-index", "bad-strand-count", "strand-count-below-1"])
+def test_word_errors_quote_a_long_token_in_part(tmp_path, capsys, text, err):
+    word = write(tmp_path, "w.braid", text)
+    assert run(capsys, "linking", "--word", word) == (2, "", err)
+    assert len(err) < 120
 
 
 WORD_TOKENS = ("n=1", "n=2", "n=3", "n=0", "n=q", "n=", "1", "-2", "0", "5",
@@ -352,6 +370,20 @@ def test_spec_with_a_non_unit_image_is_a_domain_error(tmp_path, capsys):
     status, out, err = run(capsys, "eval", "--rep", "tym", "--word", word, "--spec", "t=2t")
     assert (status, out) == (1, "")
     assert "not a unit" in err
+
+
+@pytest.mark.parametrize("spec, err", [
+    ("t", "error: bad --spec item 't', expected var=poly\n"),
+    ("u=1", "error: --spec variable 'u' is not in the ring of tym ('t',)\n"),
+    ("t=(t)", "error: bad token at offset 0 in '(t)'\n"),
+], ids=["no-equals", "foreign-variable", "bad-text"])
+def test_malformed_spec_exits_before_the_word_is_evaluated(tmp_path, capsys, monkeypatch,
+                                                           spec, err):
+    def evaluate(self, word):
+        raise AssertionError("evaluated before the --spec items were read")
+    monkeypatch.setattr(GenRep, "evaluate", evaluate)
+    word = write(tmp_path, "w.braid", "n=3\n1 -2\n")
+    assert run(capsys, "eval", "--rep", "tym", "--word", word, "--spec", spec) == (2, "", err)
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from braidrep import reproduce
-from braidrep.longmoody import (WITNESS_PRIME, _identity_verdict, _semidirect_pair,
+from braidrep.longmoody import (WITNESS_PRIME, _EchelonBasis, _identity_verdict,
+                                _semidirect_pair,
                                 block_formula_lm_q_tym, check_semidirect,
                                 decompose_check, identify_trivial_burau,
                                 intertwining_check, irreducibility_probe,
@@ -219,6 +220,110 @@ def test_irreducibility_probe_pinned_reports():
     for rep, dim in reps:
         report = irreducibility_probe(rep, p=10007, trials=1, seed=0)
         assert report == {"dimension": dim, "full": False, "trials_used": 1}
+
+
+def ref_probe(rep, p, trials, seed):
+    """The probe closed one pivot at a time: each candidate word image is
+    reduced by one row operation per stored pivot, words grown depth first."""
+    field = PrimeField(p)
+    rng = random.Random(seed)
+    d = rep.dim
+    dtype = np.int64 if d * (p - 1) ** 2 < 2 ** 63 else object
+    best = 0
+    for trial in range(1, trials + 1):
+        point = {v: rng.randrange(1, p) for v in rep.ring.variables}
+        gens = []
+        for i in range(1, rep.n):
+            for m in (rep.sigma_images[i], rep.sigma_inv_images[i]):
+                a = np.zeros((d, d), dtype=dtype)
+                for r in range(d):
+                    for c in range(d):
+                        a[r, c] = specialize(m[r, c], point, field)
+                gens.append(a)
+        pivots = {}
+
+        def add(vec):
+            v = vec % p
+            for piv, row in pivots.items():
+                if v[piv]:
+                    v = (v - v[piv] * row) % p
+            nz = np.nonzero(v)[0]
+            if len(nz) == 0:
+                return False
+            v = (v * pow(int(v[nz[0]]), -1, p)) % p
+            pivots[int(nz[0])] = v
+            return True
+
+        eye = np.eye(d, dtype=dtype)
+        add(eye.reshape(-1))
+        queue = [eye]
+        while queue and len(pivots) < d * d:
+            m = queue.pop()
+            for g in gens:
+                prod = (m @ g) % p
+                if add(prod.reshape(-1)):
+                    queue.append(prod)
+        best = max(best, len(pivots))
+        if best == d * d:
+            return {"dimension": best, "full": True, "trials_used": trial}
+    return {"dimension": best, "full": False, "trials_used": trials}
+
+
+@pytest.mark.parametrize("name", ["reduced_lm3", "burau3", "lm_q_tym4", "lm_semidirect_eta3"])
+def test_irreducibility_probe_matches_the_per_pivot_reference(name):
+    rep = {
+        "reduced_lm3": reduced_lm3,
+        "burau3": lambda: make_burau(3, RingContext(("t",)).var("t")),
+        "lm_q_tym4": lambda: lm_q(make_tym(4, TQ)),
+        "lm_semidirect_eta3": lambda: lm_semidirect(make_eta(3, TQ), q_twist=True),
+    }[name]()
+    for seed in range(4):
+        assert irreducibility_probe(rep, p=10007, trials=2, seed=seed) == \
+            ref_probe(rep, 10007, 2, seed)
+
+
+def test_irreducibility_probe_matches_the_reference_on_exact_integers():
+    # 3 * (p-1)^2 is past 2^63: both sides work on Python integers
+    bur = make_burau(3, RingContext(("t",)).var("t"))
+    for seed in range(2):
+        report = irreducibility_probe(bur, p=4294967311, trials=1, seed=seed)
+        assert report == ref_probe(bur, 4294967311, 1, seed)
+        assert report["dimension"] == 5
+
+
+def test_irreducibility_probe_pinned_span_of_lm_q_tym5():
+    report = irreducibility_probe(lm_q(make_tym(5, TQ)), p=10007, trials=1, seed=0)
+    assert report == {"dimension": 170, "full": False, "trials_used": 1}
+
+
+def test_echelon_basis_reduces_past_the_int64_range():
+    # 12 (p-1)^2 < 2^63 <= 144 (p-1)^2: a product of two residues fits in
+    # int64, but reducing a vector of length 144 sums up to 144 of them
+    p, n, k = 876706517, 144, 100
+    assert 12 * (p - 1) ** 2 < 2 ** 63 <= n * (p - 1) ** 2
+    rng = random.Random(0)
+    basis = _EchelonBasis(p, n)
+    dtype = basis.rows.dtype
+    top = [[int(i == j) for j in range(k)] + [rng.randrange(p - 1000, p) for _ in range(n - k)]
+           for i in range(k)]
+    assert len(basis.add(np.array(top, dtype=dtype))) == k
+
+    def combination():
+        coeffs = [rng.randrange(p - 1000, p) for _ in range(k)]
+        return [sum(c * row[j] for c, row in zip(coeffs, top)) % p for j in range(n)]
+
+    # combinations of the rows with large coefficients are in the span, but
+    # reducing one sums k products near (p-1)^2 in every column past k
+    fresh = [0] * (n - 1) + [p - 1]
+    block = [combination() for _ in range(6)] + [fresh]
+    assert len(basis.add(np.array(block, dtype=dtype))) == 1
+    assert basis.dim() == k + 1
+    rows = np.array(basis.rows, dtype=object)
+    assert all(rows[i, c] == (i == j) for j, c in enumerate(basis.pivots)
+               for i in range(len(rows)))
+    block = [combination() for _ in range(6)]
+    assert basis.add(np.array(block, dtype=dtype)).shape == (0, n)
+    assert basis.dim() == k + 1
 
 
 def test_irreducibility_probe_refuses_wrong_inverse_images():
