@@ -12,7 +12,8 @@ from .reps import (GenRep, make_burau, make_one_dim, make_tym, make_wtym,
 from .stringlinks import (Crossing, Diagram, DiagramError, LambdaRelation,
                           NormalForm, add_kink, compose, ctx_for_mode,
                           diagram_from_word, eliminate, kernel_predicate,
-                          linking_profile_diagram, relations_of, tym_matrix)
+                          linking_profile_diagram, linking_profile_word,
+                          relations_of, tym_matrix)
 from .longmoody import (SemidirectRep, block_formula_lm_q_tym, check_semidirect,
                         decompose_check, identify_trivial_burau,
                         intertwining_check, irreducibility_probe,

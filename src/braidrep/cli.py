@@ -12,8 +12,8 @@ import sys
 
 from .reps import make_burau, make_one_dim, make_tym, make_wtym
 from .ring import PolyParseError, RingContext, _render_polys, _tokenize, specialize
-from .stringlinks import (Diagram, DiagramError, MODES, diagram_from_word,
-                          kernel_predicate, linking_profile_diagram, tym_matrix)
+from .stringlinks import (Diagram, DiagramError, MODES, kernel_predicate,
+                          linking_profile_diagram, linking_profile_word, tym_matrix)
 from .words import BraidWord, WordParseError
 from . import longmoody, reproduce
 
@@ -46,10 +46,10 @@ def load_diagram(path):
 
 
 def load_input(args):
-    """The diagram of --diagram, or the diagram threaded through the --word file."""
+    """The crossing tally of the --diagram file, or of the --word file's letters."""
     if args.diagram:
-        return load_diagram(args.diagram)
-    return diagram_from_word(load_word(args.word))
+        return linking_profile_diagram(load_diagram(args.diagram))
+    return linking_profile_word(load_word(args.word))
 
 
 def emit_matrix(m, fmt, out):
@@ -134,6 +134,9 @@ def cmd_eval(args, out):
     rep = _make_rep(args.rep, word.n)
     # every --spec item is read before the word is evaluated
     spec = _parse_spec(args.spec, rep.ring, args.rep) if args.spec else None
+    if spec:
+        # a non-unit image raises here, not after the evaluation
+        specialize(rep.ring.zero(), *spec)
     m = rep.evaluate(word)
     if spec:
         images, target = spec
@@ -150,7 +153,7 @@ def cmd_invariant(args, out):
 
 
 def cmd_linking(args, out):
-    prof = linking_profile_diagram(load_input(args))
+    prof = load_input(args)
     n = prof.n
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     report = {

@@ -6,9 +6,11 @@ classical crossing rewrites its two incoming arcs with monomial weights
 (`relations_of`), and eliminating the intermediate arcs (`eliminate`) yields
 a monomial matrix invariant.  Since the weights commute, each string's weight
 depends only on its signed crossing counts against every string, so
-`tym_matrix` reads the matrix off one tally of the crossings
-(`linking_profile_diagram`); the relations and their elimination remain as
-the reference definition.
+`tym_matrix` and `kernel_predicate` read the matrix and the kernel criteria
+off one tally record, a `LinkingProfile`.  A diagram is tallied crossing by
+crossing (`linking_profile_diagram`); a braid word is tallied straight from
+its letters (`linking_profile_word`), with no diagram built.  The relations
+and their elimination remain as the reference definition.
 """
 from __future__ import annotations
 
@@ -178,20 +180,14 @@ def diagram_from_word(word):
 
 
 def ctx_for_mode(mode, n):
-    if mode == "2var":
-        return RingContext(("u", "v"))
-    if mode == "multi":
-        names = tuple("u%d" % i for i in range(1, n + 1))
-        names += tuple("v%d" % i for i in range(1, n + 1))
-        return RingContext(names)
-    if mode == "w3":
-        return RingContext(("u", "v", "al"))
-    if mode == "wmulti":
-        names = tuple("u%d" % i for i in range(1, n + 1))
-        names += tuple("v%d" % i for i in range(1, n + 1))
-        names += tuple("al%d" % i for i in range(1, n + 1))
-        return RingContext(names)
-    raise ValueError("unknown mode %r" % mode)
+    if mode not in MODES:
+        raise ValueError("unknown mode %r" % mode)
+    families = ("u", "v", "al") if mode in ("w3", "wmulti") else ("u", "v")
+    if mode in ("2var", "w3"):
+        return RingContext(families)
+    # built as a list: a tuple grown from a generator is resized, and each
+    # call would leave one more tuple on the interpreter's free lists
+    return RingContext(["%s%d" % (f, i) for f in families for i in range(1, n + 1)])
 
 
 def _mode_vars(mode, s_over, s_under):
@@ -313,20 +309,19 @@ def eliminate(relations, tops, bottoms):
 def tym_matrix(d, mode, self_writhe_correction=True):
     """The monomial matrix with entry (source string, bottom position) = weight.
 
-    With vl and V the crossing tally of `linking_profile_diagram`, the
-    weight of string s is the product over strings i of
+    `d` is a diagram or its `LinkingProfile`.  With vl and V its crossing
+    tally, the weight of string s is the product over strings i of
     u_i^vl(i,s) * v_i^vl(s,i) * al_i^-V(s,i); in the "2var" and "w3" modes
     u_i, v_i and al_i are u, v and al.  The self-writhe correction drops the
     i = s factors of u and v, that is, divides by (u_s v_s)^vl(s,s).
     """
     ctx = ctx_for_mode(mode, d.n)
-    if mode in ("2var", "multi") and d.has_virtual():
+    prof = d if isinstance(d, LinkingProfile) else linking_profile_diagram(d)
+    if mode in ("2var", "multi") and prof.virtual:
         raise DiagramError("virtual crossings need a welded mode")
-    prof = linking_profile_diagram(d)
-    strings = range(1, d.n + 1)
+    strings = range(1, prof.n + 1)
     entries = {}
-    for j, arc in enumerate(d.bottom):
-        s = d.arc_string(arc)
+    for j, s in enumerate(prof.bottom):
         u = [prof.vl[(i, s)] for i in strings]
         v = [prof.vl[(s, i)] for i in strings]
         al = [-prof.V[(s, i)] for i in strings]
@@ -336,7 +331,7 @@ def tym_matrix(d, mode, self_writhe_correction=True):
             u, v, al = [sum(u)], [sum(v)], [sum(al)]
         # the variables of each mode are the u's, then the v's, then any al's
         entries[(s - 1, j)] = ctx.monomial((u + v + al)[:ctx.arity])
-    return RingMatrix.from_entries_dict(ctx, d.n, entries)
+    return RingMatrix.from_entries_dict(ctx, prof.n, entries)
 
 
 def compose(d1, d2):
@@ -383,7 +378,7 @@ def add_kink(d, position, sign=1):
 
 def linking_profile_diagram(d):
     """Tally every crossing by the strings that meet there, self-crossings included."""
-    prof = LinkingProfile(d.n)
+    prof = LinkingProfile(d.n, [d.arc_string(a) for a in d.bottom], d.has_virtual())
     for c in d.crossings:
         a = d.arc_string(c.a_in)
         b = d.arc_string(c.b_in)
@@ -395,26 +390,56 @@ def linking_profile_diagram(d):
     return prof
 
 
+def linking_profile_word(word):
+    """The tally of `diagram_from_word(word)`, read straight off the letters.
+
+    With l and r the strings at positions i and i+1, sigma_i adds 1 to
+    vl[(r, l)], sigma_i^-1 adds -1 to vl[(l, r)] and tau_i adds 1 to
+    V[(l, r)] and -1 to V[(r, l)]; then l and r swap.
+    """
+    prof = LinkingProfile(word.n)
+    vl, V = prof.vl, prof.V
+    at = list(prof.bottom)
+    for lt in word.letters:
+        i = lt[1]
+        l, r = at[i - 1], at[i]
+        if lt[0] == "t":
+            V[(l, r)] += 1
+            V[(r, l)] -= 1
+            prof.virtual = True
+        elif lt[2] > 0:
+            vl[(r, l)] += 1
+        else:
+            vl[(l, r)] -= 1
+        at[i - 1], at[i] = r, l
+    prof.bottom = tuple(at)
+    return prof
+
+
 def kernel_predicate(d, which):
-    """Linking number criteria for the invariant being the identity matrix."""
-    prof = linking_profile_diagram(d)
-    n = d.n
+    """Linking number criteria for the invariant being the identity matrix.
+
+    `d` is a diagram or its `LinkingProfile`.  The classical criteria compare
+    twice the linking numbers, vl(i,j) + vl(j,i), as integers.
+    """
+    prof = d if isinstance(d, LinkingProfile) else linking_profile_diagram(d)
+    vl, n = prof.vl, prof.n
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     if which == "318":
-        if d.has_virtual():
+        if prof.virtual:
             raise DiagramError("criterion 318 applies to classical diagrams")
-        return all(sum(prof.lk(i, j) for j in range(1, n + 1) if j != i) == 0
+        return all(sum(vl[(i, j)] + vl[(j, i)] for j in range(1, n + 1) if j != i) == 0
                    for i in range(1, n + 1))
     if which == "319":
-        if d.has_virtual():
+        if prof.virtual:
             raise DiagramError("criterion 319 applies to classical diagrams")
-        if not d.is_pure():
+        if not prof.is_pure():
             raise DiagramError("criterion 319 needs a pure diagram")
-        return all(prof.lk(i, j) == 0 for i, j in pairs)
+        return all(vl[(i, j)] + vl[(j, i)] == 0 for i, j in pairs)
     if which == "48":
         return all(all(x == 0 for x in prof.row_sums(j)) for j in range(1, n + 1))
     if which == "49":
-        if not d.is_pure():
+        if not prof.is_pure():
             raise DiagramError("criterion 49 needs a pure diagram")
-        return all(prof.vl[p] == 0 and prof.V[p] == 0 for p in pairs)
+        return all(vl[p] == 0 and prof.V[p] == 0 for p in pairs)
     raise ValueError("unknown criterion %r" % which)

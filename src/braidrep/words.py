@@ -116,6 +116,8 @@ class BraidWord:
         # one frame per open bracket: [letters around it, A once its comma is read]
         stack = []
         out = []
+        # each distinct token is read once; a bad one raises before it is stored
+        seen = {}
         for lineno, line in enumerate(text.split("\n"), 1):
             for tok in line.split("#", 1)[0].split():
                 if n is None:
@@ -132,7 +134,10 @@ class BraidWord:
                         a, b, out = frame[1], out, frame[0]
                         out += _invert(a) + _invert(b) + a + b
                 else:
-                    out.append(_letter(tok, lineno, n))
+                    lt = seen.get(tok)
+                    if lt is None:
+                        lt = seen[tok] = _letter(tok, lineno, n)
+                    out.append(lt)
         if n is None:
             raise WordParseError("missing 'n=<strands>' header")
         if stack:
@@ -415,15 +420,23 @@ class LinkingProfile:
     V[(i, j)] is the signed virtual-pass count (antisymmetric).  Strings are
     1-based and identified by their starting position.  The diagonal is
     counted too: vl[(s, s)] is the signed self-crossing count (the writhe)
-    of string s, and V[(s, s)] is always 0.
+    of string s, and V[(s, s)] is always 0.  bottom[j] is the string ending
+    at bottom position j + 1, and `virtual` says whether any crossing is
+    virtual.
     """
 
-    __slots__ = ("n", "vl", "V")
+    __slots__ = ("n", "vl", "V", "bottom", "virtual")
 
-    def __init__(self, n):
+    def __init__(self, n, bottom=None, virtual=False):
         self.n = n
         self.vl = {(i, j): 0 for i in range(1, n + 1) for j in range(1, n + 1)}
         self.V = dict(self.vl)
+        self.bottom = tuple(range(1, n + 1)) if bottom is None else tuple(bottom)
+        self.virtual = virtual
+
+    def is_pure(self):
+        """Whether every string ends at the position it starts from."""
+        return self.bottom == tuple(range(1, self.n + 1))
 
     def lk(self, i, j):
         """Classical linking number: half the signed crossing count."""
@@ -438,7 +451,9 @@ class LinkingProfile:
 
     def __eq__(self, other):
         return (isinstance(other, LinkingProfile) and self.n == other.n
-                and self.vl == other.vl and self.V == other.V)
+                and self.vl == other.vl and self.V == other.V
+                and self.bottom == other.bottom and self.virtual == other.virtual)
 
     def __repr__(self):
-        return "LinkingProfile(n=%d, vl=%r, V=%r)" % (self.n, self.vl, self.V)
+        return "LinkingProfile(n=%d, vl=%r, V=%r, bottom=%r, virtual=%r)" % (
+            self.n, self.vl, self.V, self.bottom, self.virtual)

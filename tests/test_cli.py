@@ -269,6 +269,29 @@ def diagram_text(draw):
     return "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize("text", [
+    "n=1\n",
+    "n=3\n",
+    "n=2\n1 1 -1 -1\n",
+    "n=3\n1 -2 1 2\n",
+    "n=3\n[1 2, -2 1]\n",
+    "n=3\n1 2 # not pure\n",
+    "n=4\nv1 1 v2 -3 2 v3 1 -2 v1 3 3\n",
+    "n=3\n[v1 1 v1, 2 2]\n",
+], ids=["one-strand", "empty", "pure", "braid", "commutator", "not-pure", "welded",
+        "welded-commutator"])
+@pytest.mark.parametrize("argv", DIAGRAM_COMMANDS + [("--format", "json", "linking")])
+def test_a_word_and_its_diagram_give_the_same_output(tmp_path, capsys, text, argv):
+    word = write(tmp_path, "w.braid", text)
+    diagram = write(tmp_path, "w.diag", diagram_from_word(BraidWord.parse(text)).render())
+    got = run(capsys, *argv, "--word", word)
+    assert got == run(capsys, *argv, "--diagram", diagram)
+    if "v" in text and argv[-1] in ("2var", "multi"):
+        assert got == (1, "", "error: virtual crossings need a welded mode\n")
+    if "not pure" in text and argv[-1] == "319":
+        assert got == (1, "", "error: criterion 319 needs a pure diagram\n")
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(diagram_text(), st.sampled_from(DIAGRAM_COMMANDS))
@@ -370,6 +393,15 @@ def test_spec_with_a_non_unit_image_is_a_domain_error(tmp_path, capsys):
     status, out, err = run(capsys, "eval", "--rep", "tym", "--word", word, "--spec", "t=2t")
     assert (status, out) == (1, "")
     assert "not a unit" in err
+
+
+def test_non_unit_spec_image_exits_before_the_word_is_evaluated(tmp_path, capsys, monkeypatch):
+    def evaluate(self, word):
+        raise AssertionError("evaluated before the --spec images were checked")
+    monkeypatch.setattr(GenRep, "evaluate", evaluate)
+    word = write(tmp_path, "w.braid", "n=3\n1 -2\n")
+    assert (run(capsys, "eval", "--rep", "burau", "--word", word, "--spec", "t=2t")
+            == (1, "", "error: image of t is not a unit: <2*t>\n"))
 
 
 @pytest.mark.parametrize("spec, err", [

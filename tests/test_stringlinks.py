@@ -10,7 +10,8 @@ from braidrep.stringlinks import (MODES, Crossing, Diagram, DiagramError,
                                   LambdaRelation, NormalForm, add_kink,
                                   compose, ctx_for_mode, diagram_from_word,
                                   eliminate, kernel_predicate,
-                                  linking_profile_diagram, relations_of,
+                                  linking_profile_diagram,
+                                  linking_profile_word, relations_of,
                                   tym_matrix)
 from braidrep.words import BraidWord, commutator
 
@@ -384,3 +385,37 @@ def test_tally_matches_elimination(d):
         for correction in (True, False):
             assert (tym_matrix(d, mode, self_writhe_correction=correction)
                     == eliminated_matrix(d, mode, correction))
+
+
+@st.composite
+def welded_words(draw):
+    """Welded braid words on 1 to 5 strands, the empty word included."""
+    n = draw(st.integers(1, 5))
+    if n == 1:
+        return BraidWord(1)
+    i = st.integers(1, n - 1)
+    letter = st.one_of(st.builds(lambda i, e: ("s", i, e), i, st.sampled_from((1, -1))),
+                       st.builds(lambda i: ("t", i), i))
+    return BraidWord(n, draw(st.lists(letter, max_size=30)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(welded_words())
+def test_word_tally_matches_the_diagram_tally(w):
+    d = diagram_from_word(w)
+    prof = linking_profile_word(w)
+    assert prof == linking_profile_diagram(d)
+    assert prof.bottom == tuple(d.arc_string(a) for a in d.bottom)
+    assert prof.is_pure() == d.is_pure() == w.is_pure()
+    assert prof.virtual == d.has_virtual() == (not w.is_classical())
+    modes = ("w3", "wmulti") if prof.virtual else MODES
+    assert all(tym_matrix(prof, mode) == tym_matrix(d, mode) for mode in modes)
+
+
+def test_profiles_differing_only_in_bottom_or_virtual_flag_are_unequal():
+    w = linking_profile_word(word(2, "v1", "v1"))
+    assert w.virtual and w.V == linking_profile_word(word(2)).V
+    assert w != linking_profile_word(word(2))
+    assert linking_profile_word(word(2, 1, -1)) == linking_profile_word(word(2))
+    swapped = linking_profile_word(word(2, "v1"))
+    assert swapped.bottom == (2, 1) and not swapped.is_pure()
