@@ -287,7 +287,8 @@ def build_parser():
     papersub = paper.add_subparsers(dest="paper_command", required=True)
     p = papersub.add_parser("reproduce")
     p.add_argument("--full", action="store_true",
-                   help="include the slow kernel word experiment")
+                   help="also check that the kernel words lie in the kernels of "
+                        "Burau and lm(TYM) but not of the shifted lm_q(TYM)")
     p.set_defaults(fn=cmd_paper_reproduce)
 
     return parser

@@ -258,33 +258,80 @@ def block_formula_lm_q_tym(n, i):
     return left * right
 
 
-def _field_dtype(d, p):
-    """int64 while a sum of d products of residues, at most d*(p-1)^2, stays below 2^63."""
-    return np.int64 if d * (p - 1) ** 2 < 2 ** 63 else object
+def _field_dtype(terms, p):
+    """int64 while a sum of `terms` products of residues, at most terms*(p-1)^2,
+    stays below 2^63; exact Python integers (object) above."""
+    return np.int64 if terms * (p - 1) ** 2 < 2 ** 63 else object
 
 
-def _images_mod_p(rep, letters, field, point, dtype):
-    """The letters' images at unit values `point` of the variables mod p, keyed by letter,
-    as arrays of `dtype`.
+class _ImagesModP:
+    """The images of some letters of a representation at a unit point mod p.
+
+    Only the nonzero entries of each image are specialised.  An image is
+    kept in column-gather form: `idx` and `coef`, both w x d, where w is the
+    largest number of nonzero entries in a column of that image; column k
+    holds coef[s, k] at row idx[s, k], shorter columns padded with
+    coefficient 0.  So `block @ image` is the sum over s of
+    block[:, idx[s]] * coef[s], reduced mod p once, and its arithmetic is
+    on int64 while w*(p-1)^2 stays below 2^63 (w the largest column weight
+    of all the images), on exact Python integers above.
 
     Where both sigma_i and its inverse are among the letters, their images
     are checked mod p: ValueError if the product is not I.
     """
-    p = field.p
-    out = {}
-    for lt in letters:
-        m = rep.letter_image(lt)
-        a = out[lt] = np.zeros((m.rows, m.cols), dtype=dtype)
-        for k, e in enumerate(m.entries):
-            if not e.is_zero():
-                a[divmod(k, m.cols)] = specialize(e, point, field)
-    eye = np.eye(rep.dim, dtype=dtype)
-    for lt, g in out.items():
-        inv = ("s", lt[1], -1)
-        if lt == ("s", lt[1], 1) and inv in out and not np.array_equal((g @ out[inv]) % p, eye):
-            raise ValueError("inverse image of sigma_%d in %s is not its inverse mod %d"
-                             % (lt[1], rep.name or "the representation", p))
-    return out
+
+    __slots__ = ("p", "dim", "dtype", "images")
+
+    def __init__(self, rep, letters, field, point):
+        p = self.p = field.p
+        d = self.dim = rep.dim
+        cols = {}
+        for lt in letters:
+            m = rep.letter_image(lt)
+            cols[lt] = [[(j, e) for j, e in enumerate(m.entries[k::d]) if e.terms]
+                        for k in range(d)]
+        self.dtype = _field_dtype(max((len(c) for cs in cols.values() for c in cs), default=0), p)
+        self.images = {}
+        for lt, cs in cols.items():
+            w = max(map(len, cs), default=0)
+            idx = np.zeros((w, d), dtype=np.intp)
+            coef = np.zeros((w, d), dtype=self.dtype)
+            for k, col in enumerate(cs):
+                for s, (j, e) in enumerate(col):
+                    idx[s, k] = j
+                    coef[s, k] = specialize(e, point, field)
+            self.images[lt] = (idx, coef)
+        eye = self.identity()
+        for lt in self.images:
+            inv = ("s", lt[1], -1)
+            if (lt == ("s", lt[1], 1) and inv in self.images
+                    and not np.array_equal(self.mul(self.mul(eye, lt), inv), eye)):
+                raise ValueError("inverse image of sigma_%d in %s is not its inverse mod %d"
+                                 % (lt[1], rep.name or "the representation", p))
+
+    def identity(self):
+        return np.eye(self.dim, dtype=self.dtype)
+
+    def mul(self, block, letter):
+        """block @ (the image of `letter`) mod p, for a block of residues with d
+        columns; an int64 block needs `dtype` int64, as it is scaled in place.
+
+        In place, because on the probe's tall blocks two fresh temporaries
+        take about twice as long.
+        """
+        idx, coef = self.images[letter]
+        out = block[:, idx]
+        out *= coef
+        out = out.sum(axis=1)
+        out %= self.p
+        return out
+
+    def product(self, letters):
+        """The product of the letters' images mod p, I for no letters."""
+        out = self.identity()
+        for lt in letters:
+            out = self.mul(out, lt)
+        return out
 
 
 class _EchelonBasis:
@@ -357,8 +404,10 @@ def irreducibility_probe(rep, p=10007, trials=5, seed=0):
     inverse images, specialized the same way and checked mod p: ValueError
     if some g * g_inv is not I.  `p` must be prime and `trials` at least 1
     (ValueError otherwise).  Reducing a vector of length d*d sums up to
-    d*d products, so arithmetic is on int64 while d*d*(p-1)^2 stays below
-    2^63, and on exact Python integers above.
+    d*d products of residues, so the span is kept on int64 while
+    d*d*(p-1)^2 stays below 2^63, and on exact Python integers above; each
+    product by a generator sums only w of them, w the largest column
+    weight of the images (see _ImagesModP).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
@@ -371,14 +420,13 @@ def irreducibility_probe(rep, p=10007, trials=5, seed=0):
     letters = [("s", i, s) for i in range(1, rep.n) for s in (1, -1)]
     for trial in range(1, trials + 1):
         values = {v: rng.randrange(1, p) for v in rep.ring.variables}
-        gens = list(_images_mod_p(rep, letters, field, values, dtype).values())
+        images = _ImagesModP(rep, letters, field, values)
         basis = _EchelonBasis(p, n)
         frontier = basis.add(np.eye(d, dtype=dtype).reshape(1, n))
         while len(frontier) and basis.dim() < n:
             added = []
-            for g in gens:
-                block = frontier.reshape(-1, d) @ g
-                block %= p
+            for lt in letters:
+                block = images.mul(frontier.reshape(-1, d), lt)
                 added.append(basis.add(block.reshape(-1, n)))
                 if basis.dim() == n:
                     break
@@ -416,8 +464,8 @@ def kernel_words():
     return {"sigma": sigma, "tau": tau, "xi": xi, "upsilon": upsilon}
 
 
-# The witness prime 2^28 + 3: the int64 products of _identity_verdict stay
-# exact up to dimension 127.
+# The witness prime 2^28 + 3: the products of _identity_verdict stay on
+# int64 while w*(p-1)^2 < 2^63, w the column weight of the images (up to 127).
 WITNESS_PRIME = 268435459
 
 
@@ -437,13 +485,8 @@ def _identity_verdict(rep, word):
     p = WITNESS_PRIME
     rng = random.Random(0)  # a fixed point, so reports repeat exactly
     point = {v: rng.randrange(2, p - 1) for v in rep.ring.variables}
-    dtype = _field_dtype(rep.dim, p)
-    gens = _images_mod_p(rep, dict.fromkeys(word.letters), PrimeField(p), point, dtype)
-    eye = np.eye(rep.dim, dtype=dtype)
-    prod = eye
-    for lt in word.letters:
-        prod = (prod @ gens[lt]) % p
-    if not np.array_equal(prod, eye):
+    images = _ImagesModP(rep, dict.fromkeys(word.letters), PrimeField(p), point)
+    if not np.array_equal(images.product(word.letters), images.identity()):
         return False, {"p": p, "point": point}
     return rep.evaluate(word).is_identity(), "exact"
 

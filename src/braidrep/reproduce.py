@@ -173,8 +173,9 @@ CHECKS = [
 def run(full=False):
     """One {"check": name, "result": "PASS" | "FAIL"} per check, in order.
 
-    `full` adds the slow kernel word experiment.  A check that raises
-    fails, and its name carries the error.
+    `full` adds the kernel word experiment: the paper's four words are the
+    identity in Burau and lm(TYM) and not in the shifted lm_q(TYM).  A check
+    that raises fails, and its name carries the error.
     """
     checks = CHECKS + ([("kernel word experiment", check_kernel_words)] if full else [])
     results = []

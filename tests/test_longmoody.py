@@ -2,17 +2,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidrep import reproduce
 from braidrep.longmoody import (WITNESS_PRIME, _EchelonBasis, _identity_verdict,
-                                _semidirect_pair,
+                                _ImagesModP, _semidirect_pair,
                                 block_formula_lm_q_tym, check_semidirect,
                                 decompose_check, identify_trivial_burau,
                                 intertwining_check, irreducibility_probe,
                                 kernel_experiment, kernel_words, lm_apply, lm_q,
                                 lm_semidirect, make_eta, reduced_lm3, SemidirectRep)
 from braidrep.matrices import RingMatrix, direct_sum
-from braidrep.reps import GenRep, make_burau, make_one_dim, make_tym, tensor_one_dim
+from braidrep.reps import (GenRep, make_burau, make_one_dim, make_tym, make_wtym,
+                           tensor_one_dim)
 from braidrep.ring import PrimeField, RingContext, specialize
 from braidrep.words import BraidWord, FreeWord
 
@@ -436,6 +438,69 @@ def test_modular_certificate_rechecks():
     for lt in word.letters:
         prod = prod @ image(lt) % p
     assert not np.array_equal(prod, np.eye(d, dtype=np.int64))
+
+
+def burau4_squared():
+    """Burau_4 with each sigma_i sent to a product of two Burau images, so
+    that some columns of the images hold three nonzero entries."""
+    bur = make_burau(4, RingContext(("t",)).var("t"))
+    sig, sig_inv = bur.sigma_images, bur.sigma_inv_images
+    pairs = {1: (1, 2), 2: (2, 3), 3: (3, 1)}
+    return GenRep(4, 4, bur.ring, {i: sig[a] * sig[b] for i, (a, b) in pairs.items()},
+                  {i: sig_inv[b] * sig_inv[a] for i, (a, b) in pairs.items()},
+                  name="burau4^2")
+
+
+MODP_REPS = [make_burau(4, RingContext(("t",)).var("t")), make_tym(4), make_wtym(3),
+             lm_q(make_tym(4, TQ)), reduced_lm3(), burau4_squared()]
+# 4294967311: (p-1)^2 is past 2^63, so the products run on Python integers
+MODP_PRIMES = (10007, WITNESS_PRIME, 4294967311)
+
+
+@st.composite
+def modp_case(draw):
+    rep = draw(st.sampled_from(MODP_REPS))
+    p = draw(st.sampled_from(MODP_PRIMES))
+    point = {v: draw(st.integers(1, p - 1)) for v in rep.ring.variables}
+    index = st.integers(1, rep.n - 1)
+    letter = st.tuples(st.just("s"), index, st.sampled_from((1, -1)))
+    if rep.tau_images is not None:
+        letter = st.one_of(letter, st.tuples(st.just("t"), index))
+    return rep, p, point, draw(st.lists(letter, max_size=12))
+
+
+@settings(max_examples=120, deadline=None)
+@given(modp_case())
+def test_images_mod_p_product_is_the_dense_product(case):
+    rep, p, point, letters = case
+    field = PrimeField(p)
+    d = rep.dim
+    images = _ImagesModP(rep, dict.fromkeys(letters), field, point)
+    expect = np.eye(d, dtype=object)
+    for lt in letters:
+        m = rep.letter_image(lt)
+        g = np.array([[specialize(m[r, c], point, field) for c in range(d)]
+                      for r in range(d)], dtype=object)
+        expect = (expect @ g) % p
+    got = images.product(letters)
+    if letters:
+        assert (got.dtype == object) == (p == 4294967311)
+    assert np.array_equal(got, expect)
+
+
+def test_images_mod_p_holds_heavy_columns_and_zero_images():
+    rep = burau4_squared()
+    images = _ImagesModP(rep, rep.images, PrimeField(10007), {"t": 5})
+    assert max(idx.shape[0] for idx, _ in images.images.values()) == 3
+    ring = RingContext(("t",))
+    zero = RingMatrix.zeros(ring, 2, 2)
+    rep = GenRep(2, 2, ring, {1: zero}, {1: zero}, name="zero")
+    images = _ImagesModP(rep, [("s", 1, 1)], PrimeField(10007), {"t": 5})
+    assert images.images[("s", 1, 1)][0].shape == (0, 2)
+    assert not images.product([("s", 1, 1), ("s", 1, 1)]).any()
+    assert images.mul(np.ones((5, 2), dtype=np.int64), ("s", 1, 1)).shape == (5, 2)
+    with pytest.raises(ValueError, match="sigma_1 in zero is not its inverse mod 10007"):
+        _ImagesModP(rep, [("s", 1, 1), ("s", 1, -1)], PrimeField(10007), {"t": 5})
 
 
 def test_kernel_experiment_is_deterministic():
