@@ -140,7 +140,9 @@ def cmd_eval(args, out):
     m = rep.evaluate(word)
     if spec:
         images, target = spec
-        m = m.map_entries(lambda p: specialize(p, images, target), ring=target)
+        zero = target.zero()  # most entries of a long word's image are zero
+        m = m.map_entries(lambda p: specialize(p, images, target) if p.terms else zero,
+                          ring=target)
     emit_matrix(m, args.format, out)
     return 0
 

@@ -280,10 +280,11 @@ class _ImagesModP:
     are checked mod p: ValueError if the product is not I.
     """
 
-    __slots__ = ("p", "dim", "dtype", "images")
+    __slots__ = ("p", "point", "dim", "dtype", "images")
 
     def __init__(self, rep, letters, field, point):
         p = self.p = field.p
+        self.point = point
         d = self.dim = rep.dim
         cols = {}
         for lt in letters:
@@ -469,7 +470,14 @@ def kernel_words():
 WITNESS_PRIME = 268435459
 
 
-def _identity_verdict(rep, word):
+def _witness_images(rep):
+    """Every letter image of `rep` at the fixed witness point mod WITNESS_PRIME."""
+    rng = random.Random(0)  # a fixed point, so reports repeat exactly
+    point = {v: rng.randrange(2, WITNESS_PRIME - 1) for v in rep.ring.variables}
+    return _ImagesModP(rep, rep.images, PrimeField(WITNESS_PRIME), point)
+
+
+def _identity_verdict(rep, word, images):
     """Whether rep(word) is the identity, and how that was settled.
 
     Specialising every variable at a unit point mod p is a ring
@@ -479,15 +487,11 @@ def _identity_verdict(rep, word):
     nonzero exact difference (its chance is at most degree/p by
     Schwartz-Zippel), so that case is settled by exact evaluation and the
     method is "exact": an identity verdict never rests on modular
-    arithmetic.  Like the probe, it refuses a sigma_i inverse image, both
-    in the word, that is not the inverse of the sigma_i image mod p.
+    arithmetic.  `images` is `_witness_images(rep)`, built once for all the
+    words checked in `rep`.
     """
-    p = WITNESS_PRIME
-    rng = random.Random(0)  # a fixed point, so reports repeat exactly
-    point = {v: rng.randrange(2, p - 1) for v in rep.ring.variables}
-    images = _ImagesModP(rep, dict.fromkeys(word.letters), PrimeField(p), point)
     if not np.array_equal(images.product(word.letters), images.identity()):
-        return False, {"p": p, "point": point}
+        return False, {"p": images.p, "point": images.point}
     return rep.evaluate(word).is_identity(), "exact"
 
 
@@ -506,23 +510,22 @@ def kernel_experiment(words=None):
     if words is None:
         words = kernel_words()
     results = {}
-    cache = {}
+    cache = {}  # per n: each representation with its witness images
     for name, w in words.items():
         n = w.n
         if n not in cache:
             tctx = RingContext(("t",))
             tqctx = RingContext(("t", "q"))
-            cache[n] = (
+            cache[n] = [(rep, _witness_images(rep)) for rep in (
                 make_burau(n, tctx.var("t")),
                 lm_apply(make_tym(n + 1, tctx)),
-                lm_q(make_tym(n + 2, tqctx)),
-            )
+                lm_q(make_tym(n + 2, tqctx)))]
         report = {"n": n}
         method = {}
-        for key, rep, word in zip(
+        for key, (rep, images), word in zip(
                 ("burau_identity", "lm_identity", "t1lm_identity"),
                 cache[n], (w, w, w.shift(1))):
-            report[key], method[key] = _identity_verdict(rep, word)
+            report[key], method[key] = _identity_verdict(rep, word, images)
         report["method"] = method
         results[name] = report
     return results

@@ -273,57 +273,40 @@ class RingMatrix:
         return RingMatrix(ctx, n, n, flat)
 
     def determinant(self):
-        """Exact determinant by cofactor expansion with column-subset memoisation.
-
-        Fine up to ~10x10; larger matrices never need a determinant here.
-        """
-        if not self.is_square():
-            raise ShapeMismatch("determinant of a non-square matrix")
-        n = self.rows
-        memo = {}
-
-        def minor(row, colmask):
-            if row == n:
-                return self.ring.one()
-            key = colmask
-            if key in memo:
-                return memo[key]
-            acc = self.ring.zero()
-            sign = 1
-            for j in range(n):
-                bit = 1 << j
-                if colmask & bit:
-                    continue
-                e = self[row, j]
-                if not e.is_zero():
-                    sub = minor(row + 1, colmask | bit)
-                    term = e * sub
-                    acc = acc + (term if sign > 0 else -term)
-                sign = -sign
-            memo[key] = acc
-            return acc
-
-        return minor(0, 0)
+        """Exact determinant, by the Faddeev-LeVerrier recurrence (see _faddeev_leverrier)."""
+        return self._faddeev_leverrier()[0]
 
     def adjugate_inverse(self):
         """Inverse via the adjugate; requires a unit determinant."""
-        det = self.determinant()
+        det, adj = self._faddeev_leverrier()
         if not det.is_unit():
             raise NotAUnit("determinant is not a unit: %s" % det)
-        det_inv = det.inverse()
-        n = self.rows
-        flat = []
-        for i in range(n):
-            for j in range(n):
-                rows = [r for r in range(n) if r != j]
-                cols = [c for c in range(n) if c != i]
-                sub = RingMatrix(self.ring, n - 1, n - 1,
-                                 [self[r, c] for r in rows for c in cols])
-                cof = sub.determinant() if n > 1 else self.ring.one()
-                if (i + j) % 2:
-                    cof = -cof
-                flat.append(det_inv * cof)
-        return RingMatrix(self.ring, n, n, flat)
+        return adj.scale(det.inverse())
+
+    def _faddeev_leverrier(self):
+        """(det A, adj A) for this n x n matrix A, from n matrix products.
+
+        With A M_0 = 0 and c_n = 1, for k = 1..n: M_k = A M_{k-1} + c_{n-k+1} I
+        and c_{n-k} = -tr(A M_k) / k.  The c_k are the coefficients of the
+        characteristic polynomial, so they lie in Z[Lambda] and the division
+        by k is exact.  By Cayley-Hamilton det A = (-1)^n c_0 and
+        adj A = (-1)^(n+1) M_n.  M_k is a polynomial in A, so A M_k is
+        computed as M_k A, with A's column plan built once.  Every step is a
+        full product: on very sparse large matrices cofactor expansion,
+        which skips zero entries, would be faster.
+        """
+        if not self.is_square():
+            raise ShapeMismatch("determinant of a non-square matrix")
+        n, ctx = self.rows, self.ring
+        am = RingMatrix.zeros(ctx, n, n)
+        m, c = am, ctx.one()
+        for k in range(1, n + 1):
+            m = RingMatrix(ctx, n, n, [e + c if i % (n + 1) == 0 else e
+                                       for i, e in enumerate(am.entries)])
+            am = m * self
+            tr = sum(am.entries[::n + 1], ctx.zero())
+            c = LaurentPoly._raw(ctx, {key: -v // k for key, v in tr.terms.items()}, tr._bound)
+        return (-c, m) if n % 2 else (c, m.map_entries(LaurentPoly.__neg__))
 
     def inverse(self):
         if self.is_monomial():
@@ -358,10 +341,6 @@ class RingMatrix:
             fam, idx = fams[v]
             images[v] = ctx.var(by_family[fam][perm(idx - 1) + 1])
         return self.map_entries(lambda e: specialize(e, images, ctx))
-
-    def submatrix(self, row_sel, col_sel):
-        return RingMatrix(self.ring, len(row_sel), len(col_sel),
-                          [self[i, j] for i in row_sel for j in col_sel])
 
     def map_entries(self, fn, ring=None):
         return RingMatrix(ring if ring is not None else self.ring,

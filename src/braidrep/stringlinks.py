@@ -14,6 +14,7 @@ and their elimination remain as the reference definition.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -398,20 +399,25 @@ def linking_profile_word(word):
     V[(l, r)] and -1 to V[(r, l)]; then l and r swap.
     """
     prof = LinkingProfile(word.n)
-    vl, V = prof.vl, prof.V
+    # each pair (l, r) under the int l*m + r in a plain dict: no tuple per
+    # letter, and a Counter (a dict subclass) updates items twice as slowly
+    m = word.n + 1
+    vl, V = {}, {}
     at = list(prof.bottom)
     for lt in word.letters:
         i = lt[1]
         l, r = at[i - 1], at[i]
         if lt[0] == "t":
-            V[(l, r)] += 1
-            V[(r, l)] -= 1
+            V[l * m + r] = V.get(l * m + r, 0) + 1
+            V[r * m + l] = V.get(r * m + l, 0) - 1
             prof.virtual = True
         elif lt[2] > 0:
-            vl[(r, l)] += 1
+            vl[r * m + l] = vl.get(r * m + l, 0) + 1
         else:
-            vl[(l, r)] -= 1
+            vl[l * m + r] = vl.get(l * m + r, 0) - 1
         at[i - 1], at[i] = r, l
+    prof.vl.update({divmod(k, m): x for k, x in vl.items()})
+    prof.V.update({divmod(k, m): x for k, x in V.items()})
     prof.bottom = tuple(at)
     return prof
 
@@ -423,23 +429,28 @@ def kernel_predicate(d, which):
     twice the linking numbers, vl(i,j) + vl(j,i), as integers.
     """
     prof = d if isinstance(d, LinkingProfile) else linking_profile_diagram(d)
-    vl, n = prof.vl, prof.n
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    if which == "318":
-        if prof.virtual:
-            raise DiagramError("criterion 318 applies to classical diagrams")
-        return all(sum(vl[(i, j)] + vl[(j, i)] for j in range(1, n + 1) if j != i) == 0
-                   for i in range(1, n + 1))
-    if which == "319":
-        if prof.virtual:
-            raise DiagramError("criterion 319 applies to classical diagrams")
-        if not prof.is_pure():
-            raise DiagramError("criterion 319 needs a pure diagram")
-        return all(vl[(i, j)] + vl[(j, i)] == 0 for i, j in pairs)
-    if which == "48":
-        return all(all(x == 0 for x in prof.row_sums(j)) for j in range(1, n + 1))
-    if which == "49":
-        if not prof.is_pure():
-            raise DiagramError("criterion 49 needs a pure diagram")
-        return all(vl[p] == 0 and prof.V[p] == 0 for p in pairs)
-    raise ValueError("unknown criterion %r" % which)
+    # only the pairs of distinct strings that crossed; every other pair is 0
+    vl = [(i, j, x) for (i, j), x in prof.vl.items() if i != j]
+    V = [(i, j, x) for (i, j), x in prof.V.items() if i != j]
+    if which in ("318", "319") and prof.virtual:
+        raise DiagramError("criterion %s applies to classical diagrams" % which)
+    if which in ("319", "49") and not prof.is_pure():
+        raise DiagramError("criterion %s needs a pure diagram" % which)
+    totals = Counter()
+    if which == "318":  # twice the total linking number of each string
+        for i, j, x in vl:
+            totals[i] += x
+            totals[j] += x
+    elif which == "319":
+        return all(x + prof.vl[(j, i)] == 0 for i, j, x in vl)
+    elif which == "48":  # the three row sums of each string (LinkingProfile.row_sums)
+        for i, j, x in vl:
+            totals[(j, "in")] += x
+            totals[(i, "out")] += x
+        for i, j, x in V:
+            totals[(j, "virtual")] += x
+    elif which == "49":
+        return not any(x for _, _, x in vl + V)
+    else:
+        raise ValueError("unknown criterion %r" % which)
+    return not any(totals.values())

@@ -6,6 +6,7 @@ Generator indices are 1-based, 1 <= i <= n-1.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .matrices import Permutation
@@ -417,20 +418,21 @@ class LinkingProfile:
     """Signed crossing tallies between the strings of a (welded) diagram.
 
     vl[(i, j)] counts classical crossings where string i passes over string j;
-    V[(i, j)] is the signed virtual-pass count (antisymmetric).  Strings are
-    1-based and identified by their starting position.  The diagonal is
-    counted too: vl[(s, s)] is the signed self-crossing count (the writhe)
-    of string s, and V[(s, s)] is always 0.  bottom[j] is the string ending
-    at bottom position j + 1, and `virtual` says whether any crossing is
-    virtual.
+    V[(i, j)] is the signed virtual-pass count (antisymmetric).  Both are
+    Counters that hold only the pairs that crossed; an absent pair reads 0.
+    Strings are 1-based and identified by their starting position.  The
+    diagonal is counted too: vl[(s, s)] is the signed self-crossing count
+    (the writhe) of string s, and V[(s, s)] is always 0.  bottom[j] is the
+    string ending at bottom position j + 1, and `virtual` says whether any
+    crossing is virtual.
     """
 
     __slots__ = ("n", "vl", "V", "bottom", "virtual")
 
     def __init__(self, n, bottom=None, virtual=False):
         self.n = n
-        self.vl = {(i, j): 0 for i in range(1, n + 1) for j in range(1, n + 1)}
-        self.V = dict(self.vl)
+        self.vl = Counter()
+        self.V = Counter()
         self.bottom = tuple(range(1, n + 1)) if bottom is None else tuple(bottom)
         self.virtual = virtual
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from braidrep import reproduce
 from braidrep.longmoody import (WITNESS_PRIME, _EchelonBasis, _identity_verdict,
-                                _ImagesModP, _semidirect_pair,
+                                _ImagesModP, _semidirect_pair, _witness_images,
                                 block_formula_lm_q_tym, check_semidirect,
                                 decompose_check, identify_trivial_burau,
                                 intertwining_check, irreducibility_probe,
@@ -30,14 +30,19 @@ def braid_relation_holds(rep):
     return True
 
 
+def _block(m, j, k, d):
+    """The d x d block (j, k) of m, 0-based."""
+    return RingMatrix(m.ring, d, d, [m[r, c] for r in range(j * d, (j + 1) * d)
+                                     for c in range(k * d, (k + 1) * d)])
+
+
 def test_lm_block_structure():
     # block (i+1, i) of lm(rho)(sigma_i) is rho of the shifted generator
     rho = make_tym(4)
     lm = lm_apply(rho)
     d = rho.dim
     i = 1
-    block = lm.sigma_images[i].submatrix(
-        range(i * d, (i + 1) * d), range((i - 1) * d, i * d))
+    block = _block(lm.sigma_images[i], i, i - 1, d)
     assert block == rho.evaluate(BraidWord.sigma(4, i + 1))
 
 
@@ -141,8 +146,7 @@ def test_lm_semidirect_trivial_x_images():
     d = n
     for j in range(n):
         for k in range(n):
-            block = s.submatrix(range(j * d, (j + 1) * d),
-                                range(k * d, (k + 1) * d))
+            block = _block(s, j, k, d)
             # augmentation of the Fox derivative of the Artin image
             expect = {(0, 1): 1, (1, 0): 1, (1, 1): 0, (2, 2): 1}.get((j, k), 0)
             if expect:
@@ -392,12 +396,16 @@ def test_shifted_kernel_containment_randomized():
             assert bur.evaluate(w).is_identity()
 
 
+def identity_verdict(rep, word):
+    return _identity_verdict(rep, word, _witness_images(rep))
+
+
 def test_identity_verdict_falls_back_to_exact_evaluation():
     # by Fermat t^(P-1) is 1 at every unit point mod P, but not exactly 1
     t = RingContext(("t",)).var("t")
     rep = make_one_dim(2, t ** (WITNESS_PRIME - 1))
-    assert _identity_verdict(rep, BraidWord.sigma(2, 1)) == (False, "exact")
-    assert _identity_verdict(rep, BraidWord(2)) == (True, "exact")
+    assert identity_verdict(rep, BraidWord.sigma(2, 1)) == (False, "exact")
+    assert identity_verdict(rep, BraidWord(2)) == (True, "exact")
 
 
 def tau_reps():
@@ -411,7 +419,7 @@ def tau_reps():
 def test_identity_verdicts_agree_with_exact_evaluation_on_tau():
     methods = []
     for rep, word in tau_reps():
-        verdict, method = _identity_verdict(rep, word)
+        verdict, method = identity_verdict(rep, word)
         assert verdict == rep.evaluate(word).is_identity()
         assert method == "exact" or not verdict
         methods.append(method)
@@ -422,7 +430,7 @@ def test_identity_verdicts_agree_with_exact_evaluation_on_tau():
 
 def test_modular_certificate_rechecks():
     rep, word = tau_reps()[2]
-    verdict, method = _identity_verdict(rep, word)
+    verdict, method = identity_verdict(rep, word)
     assert verdict is False
     p, point = method["p"], method["point"]
     field = PrimeField(p)
@@ -516,9 +524,11 @@ def test_identity_verdict_refuses_wrong_inverse_images():
     word = BraidWord(3, [("s", 1, 1), ("s", 2, 1), ("s", 1, -1), ("s", 2, -1)])
     with pytest.raises(ValueError, match="inverse image of sigma_2 in broken is not its "
                                          "inverse mod %d" % WITNESS_PRIME):
-        _identity_verdict(broken, word)
-    # a word that holds only one of the two images is not checked
-    assert _identity_verdict(broken, BraidWord(3, [("s", 2, -1)]))[0] is False
+        identity_verdict(broken, word)
+    # the witness images cover every letter of the representation, so a word
+    # that holds only one of the two images is refused too
+    with pytest.raises(ValueError, match="inverse image of sigma_2 in broken"):
+        identity_verdict(broken, BraidWord(3, [("s", 2, -1)]))
 
 
 @pytest.mark.parametrize("make", [lambda: make_eta(4, TQ),

@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -61,6 +64,73 @@ def test_determinant_and_adjugate():
     assert inv * bur == RingMatrix.identity(T, 2)
     with pytest.raises(NotAUnit):
         tmat([[1, 1], [1, 1]]).adjugate_inverse()
+
+
+# small Laurent polynomials in one and in two variables
+small_rings = st.sampled_from((T, RingContext(("q", "t"))))
+
+
+@st.composite
+def small_matrix(draw, ring, n):
+    def term():
+        exps = draw(st.lists(st.integers(-2, 2), min_size=ring.arity, max_size=ring.arity))
+        return ring.monomial(exps, draw(st.integers(-3, 3)))
+    return RingMatrix(ring, n, n, [sum((term() for _ in range(draw(st.integers(0, 2)))),
+                                       ring.zero()) for _ in range(n * n)])
+
+
+def leibniz(m):
+    """det m as the signed sum over permutations."""
+    det = m.ring.zero()
+    for perm in itertools.permutations(range(m.rows)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(m.rows), 2))
+        term = m.ring.const(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * m[i, j]
+        det = det + term
+    return det
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_determinant_equals_the_leibniz_formula(data):
+    ring = data.draw(small_rings)
+    m = data.draw(small_matrix(ring, data.draw(st.integers(0, 5))))
+    assert m.determinant() == leibniz(m)
+
+
+@st.composite
+def unit_or_not_matrix(draw):
+    """A random matrix, or L * D * U with L, U unitriangular and D a diagonal of
+    units, so that the determinant is a unit about half of the time."""
+    ring = draw(small_rings)
+    n = draw(st.integers(0, 5))
+    m = draw(small_matrix(ring, n))
+    if n and draw(st.booleans()):
+        lower, upper = draw(small_matrix(ring, n)), draw(small_matrix(ring, n))
+        diag = [ring.monomial(draw(st.lists(st.integers(-2, 2), min_size=ring.arity,
+                                            max_size=ring.arity)), draw(st.sampled_from((1, -1))))
+                for _ in range(n)]
+        one, zero = ring.one(), ring.zero()
+        lo = RingMatrix(ring, n, n, [lower[i, j] if i > j else one if i == j else zero
+                                     for i in range(n) for j in range(n)])
+        up = RingMatrix(ring, n, n, [upper[i, j] if i < j else one if i == j else zero
+                                     for i in range(n) for j in range(n)])
+        m = lo * RingMatrix.from_entries_dict(ring, n, {(i, i): d for i, d in enumerate(diag)}) * up
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_or_not_matrix())
+def test_adjugate_inverse_is_exact_or_refused(m):
+    det = m.determinant()
+    if det.is_unit():
+        inv = m.adjugate_inverse()
+        assert m * inv == RingMatrix.identity(m.ring, m.rows)
+        assert inv * m == RingMatrix.identity(m.ring, m.rows)
+    else:
+        with pytest.raises(NotAUnit, match=re.escape("determinant is not a unit: %s" % det)):
+            m.adjugate_inverse()
 
 
 def test_power():
@@ -199,9 +269,3 @@ def test_render_parse_round_trip():
     m = tmat([[0, t ** -1], ["1 - t", 2]])
     again = RingMatrix.parse(T, m.render())
     assert again == m
-
-
-def test_submatrix():
-    m = tmat([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    s = m.submatrix([0, 2], [1, 2])
-    assert s == tmat([[2, 3], [8, 9]])

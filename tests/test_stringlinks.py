@@ -412,6 +412,47 @@ def test_word_tally_matches_the_diagram_tally(w):
     assert all(tym_matrix(prof, mode) == tym_matrix(d, mode) for mode in modes)
 
 
+def dense_kernel_predicate(prof, which):
+    """The four kernel criteria read over all n^2 pairs of strings."""
+    strings = range(1, prof.n + 1)
+    vl, V = prof.vl, prof.V
+    pairs = [(i, j) for i in strings for j in strings if i != j]
+    if which == "318":
+        return all(sum(vl[(i, j)] + vl[(j, i)] for j in strings if j != i) == 0
+                   for i in strings)
+    if which == "319":
+        return all(vl[(i, j)] + vl[(j, i)] == 0 for i, j in pairs)
+    if which == "48":
+        return all(x == 0 for j in strings for x in prof.row_sums(j))
+    return all(vl[p] == 0 and V[p] == 0 for p in pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(welded_words())
+def test_sparse_kernel_criteria_match_the_dense_ones(w):
+    # w, a pure power of w, and w times its inverse (every tally cancels)
+    perm, k = w.permutation(), 1
+    power = perm
+    while not power.is_identity():
+        power, k = power * perm, k + 1
+    for u in (w, w ** k, w * w.inverse()):
+        prof = linking_profile_word(u)
+        for which, needs_classical, needs_pure in (("318", True, False), ("319", True, True),
+                                                   ("48", False, False), ("49", False, True)):
+            if (needs_classical and prof.virtual) or (needs_pure and not prof.is_pure()):
+                with pytest.raises(DiagramError):
+                    kernel_predicate(prof, which)
+            else:
+                assert kernel_predicate(prof, which) == dense_kernel_predicate(prof, which)
+
+
+def test_a_large_strand_count_tallies_only_the_crossing_pair():
+    prof = linking_profile_word(BraidWord.parse("n=100000\n1\n"))
+    assert len(prof.vl) + len(prof.V) <= 1
+    assert prof.vl[(2, 1)] == 1 and prof.vl[(1, 2)] == 0
+    assert not kernel_predicate(prof, "48")
+
+
 def test_profiles_differing_only_in_bottom_or_virtual_flag_are_unequal():
     w = linking_profile_word(word(2, "v1", "v1"))
     assert w.virtual and w.V == linking_profile_word(word(2)).V
