@@ -14,7 +14,7 @@ from .stringlinks import (Crossing, Diagram, DiagramError, LambdaRelation,
                           diagram_from_word, eliminate, kernel_predicate,
                           linking_profile_diagram, linking_profile_word,
                           relations_of, tym_matrix)
-from .longmoody import (SemidirectRep, block_formula_lm_q_tym, check_semidirect,
+from .longmoody import (block_formula_lm_q_tym, check_semidirect,
                         decompose_check, identify_trivial_burau,
                         intertwining_check, irreducibility_probe,
                         kernel_experiment, kernel_words, lm_apply, lm_q,

@@ -6,7 +6,7 @@ import random
 import numpy as np
 
 from .matrices import Permutation, RingMatrix, direct_sum
-from .reps import GenRep, make_burau, make_one_dim, make_tym
+from .reps import GenRep, make_burau, make_one_dim, make_tym, tensor_one_dim
 from .ring import PrimeField, RingContext, specialize
 from .words import (BraidWord, FreeWord, artin_action, chi, commutator,
                     fox_derivative)
@@ -23,79 +23,50 @@ def _from_blocks(ring, d, n, blocks):
     return RingMatrix(ring, size, size, flat)
 
 
-class SemidirectRep:
-    """A representation of F_n x| B_n: a GenRep `braid` of B_n and the dict
-    `x` of the images of the free letters (j, 1) and (j, -1), FreeWord's
-    letter tuples.
-    """
-
-    __slots__ = ("braid", "x")
-
-    def __init__(self, braid, x):
-        self.braid = braid
-        self.x = dict(x)
-
-    def x_word(self, w):
-        out = None
-        for lt in w.letters:
-            m = self.x[lt]
-            out = m if out is None else out * m
-        return out if out is not None else RingMatrix.identity(self.braid.ring, self.braid.dim)
-
-    def x_group_ring(self, elem):
-        """Linear extension of the x images over a group ring element."""
-        ring = self.braid.ring
-        out = None
-        for w, c in elem.terms.items():
-            m = self.x_word(w)
-            if c != 1:
-                m = m.scale(ring.const(c))
-            out = m if out is None else out + m
-        return out if out is not None else RingMatrix.zeros(ring, self.braid.dim, self.braid.dim)
-
-
 def _assemble(eta, name):
-    """The Long-Moody construction on eta, a representation of B_n of dimension n*d.
+    """The Long-Moody construction on eta, a representation of F_n x| B_n,
+    of dimension n*d.
 
     Block (j, k) of the image of a letter lam is
     eta_x(D_j a(lam)(x_k)) * eta(lam): the Fox derivative of the Artin
     image, extended linearly over the x images, times the braid image.
+    Every sigma letter of eta's table is mapped.
     """
-    braid = eta.braid
-    n, d = braid.n, braid.dim
+    n, d, ring = eta.n, eta.dim, eta.ring
+
+    def x_image(elem):
+        """The linear extension of the x images to a nonzero group ring element."""
+        out = None
+        for w, c in elem.terms.items():
+            m = eta._product([("x", j, e) for j, e in w.letters])
+            if c != 1:
+                m = m.scale(ring.const(c))
+            out = m if out is None else out + m
+        return out
 
     def image(letter):
-        outer = braid.images[letter]
+        outer = eta.images[letter]
         blocks = {}
         for k, target in enumerate(artin_action(BraidWord(n, [letter]))):
             for j in range(1, n + 1):
                 dj = fox_derivative(target, j)
                 if not dj.is_zero():
-                    blocks[(j - 1, k)] = eta.x_group_ring(dj) * outer
-        return _from_blocks(braid.ring, d, n, blocks)
+                    blocks[(j - 1, k)] = x_image(dj) * outer
+        return _from_blocks(ring, d, n, blocks)
 
-    sig = {i: image(("s", i, 1)) for i in range(1, n)}
-    sig_inv = {i: image(("s", i, -1)) for i in range(1, n)}
-    return GenRep(n, n * d, braid.ring, sig, sig_inv, name=name)
-
-
-def _scale_x(eta, s):
-    """eta with every x image scaled by the unit s and every x inverse image by s^{-1}."""
-    sinv = s.inverse()
-    return SemidirectRep(eta.braid, {lt: m.scale(s if lt[1] > 0 else sinv)
-                                     for lt, m in eta.x.items()})
+    images = {lt: image(lt) for lt in eta.images if lt[0] == "s"}
+    return GenRep(n, n * d, ring, images, name=name)
 
 
 def _semidirect_pair(rho):
     """The rep of F_n x| B_n given by sigma_i -> rho(sigma_{i+1}), x_j -> rho(chi(x_j))."""
     n = rho.n - 1
-    braid = GenRep(n, rho.dim, rho.ring,
-                   {i: rho.images[("s", i + 1, 1)] for i in range(1, n)},
-                   {i: rho.images[("s", i + 1, -1)] for i in range(1, n)},
-                   name=rho.name)
-    chis = {j: chi(FreeWord.gen(n, j)) for j in range(1, n + 1)}
-    return SemidirectRep(braid, {(j, s): rho.evaluate(w if s > 0 else w.inverse())
-                                 for j, w in chis.items() for s in (1, -1)})
+    images = {("s", i, e): rho.images[("s", i + 1, e)] for i in range(1, n) for e in (1, -1)}
+    for j in range(1, n + 1):
+        w = chi(FreeWord.gen(n, j))
+        images[("x", j, 1)] = rho.evaluate(w)
+        images[("x", j, -1)] = rho.evaluate(w.inverse())
+    return GenRep(n, rho.dim, rho.ring, images, name=rho.name)
 
 
 def lm_apply(rho):
@@ -123,21 +94,20 @@ def lm_q(rho):
     if rho.n < 3:
         raise ValueError("source representation must have at least 3 strands")
     q = ring.var("q")
-    return _assemble(_scale_x(_semidirect_pair(rho), q * q), "lm_q(%s)" % rho.name)
+    return _assemble(tensor_one_dim(_semidirect_pair(rho), q * q, "x"),
+                     "lm_q(%s)" % rho.name)
 
 
 def make_eta(n, ctx=None):
     """The semidirect representation with sigma_i -> TYM and x_i -> q Diag(1,..,t,..,1)."""
     ring = ctx if ctx is not None else RingContext(("t", "q"))
-    tym = make_tym(n, ring)
-    tym.name = "eta%d" % n
+    images = make_tym(n, ring).images
     q, t = ring.var("q"), ring.var("t")
-    x = {}
-    for i in range(1, n + 1):
-        diag = {(k, k): (q * t if k == i - 1 else q) for k in range(n)}
-        x[(i, 1)] = RingMatrix.from_entries_dict(ring, n, diag)
-        x[(i, -1)] = x[(i, 1)].monomial_inverse()
-    return SemidirectRep(tym, x)
+    for j in range(1, n + 1):
+        diag = {(k, k): (q * t if k == j - 1 else q) for k in range(n)}
+        images[("x", j, 1)] = RingMatrix.from_entries_dict(ring, n, diag)
+        images[("x", j, -1)] = images[("x", j, 1)].monomial_inverse()
+    return GenRep(n, n, ring, images, name="eta%d" % n)
 
 
 def check_semidirect(eta):
@@ -145,12 +115,13 @@ def check_semidirect(eta):
 
     This is the relation that makes the construction on eta well defined.
     """
-    n = eta.braid.n
+    n = eta.n
     bad = []
     for i in range(1, n):
-        s = eta.braid.images[("s", i, 1)]
+        s = eta.images[("s", i, 1)]
         for j, twisted in enumerate(artin_action(BraidWord.sigma(n, i)), 1):
-            if s * eta.x[(j, 1)] != eta.x_word(twisted) * s:
+            x = eta._product([("x", k, e) for k, e in twisted.letters])
+            if s * eta.images[("x", j, 1)] != x * s:
                 bad.append((i, j))
     return bad
 
@@ -162,9 +133,9 @@ def lm_semidirect(eta, q_twist=False):
     result by q^{-1}, the same normalization as lm_q.  The two scalings of
     the braid images cancel, so only the x images are scaled.
     """
-    name = "lm_sd(%s%s)" % (eta.braid.name, ",q" if q_twist else "")
+    name = "lm_sd(%s%s)" % (eta.name, ",q" if q_twist else "")
     if q_twist:
-        eta = _scale_x(eta, eta.braid.ring.var("q"))
+        eta = tensor_one_dim(eta, eta.ring.var("q"), "x")
     return _assemble(eta, name)
 
 
@@ -191,10 +162,9 @@ def reduced_lm3():
     ]
     m1 = RingMatrix.from_rows(ring, rows1)
     m2 = RingMatrix.from_rows(ring, rows2)
-    return GenRep(3, 6, ring,
-                  {1: m1, 2: m2},
-                  {1: m1.inverse(), 2: m2.inverse()},
-                  name="reduced_lm3")
+    images = {("s", 1, 1): m1, ("s", 2, 1): m2,
+              ("s", 1, -1): m1.inverse(), ("s", 2, -1): m2.inverse()}
+    return GenRep(3, 6, ring, images, name="reduced_lm3")
 
 
 def decompose_block_permutation(n):
@@ -221,16 +191,16 @@ def decompose_check(n):
 
 
 def identify_trivial_burau(n):
-    """Compare lm_q of the trivial one-dimensional rep with Burau at q^2.
+    """Whether lm_q of the trivial one-dimensional rep is Burau at q^2.
 
-    Returns (base change matrix, ok).  The identity turns out to be the
-    right base change in the basis used here.
+    The base change is the identity: in the basis used here the two
+    representations have equal images.
     """
     ring = RingContext(("t", "q"))
     lm = lm_q(make_one_dim(n + 1, ring.one()))
     q = ring.var("q")
     bur = make_burau(n, q * q)
-    return RingMatrix.identity(ring, n), lm.images == bur.images
+    return lm.images == bur.images
 
 
 def block_formula_lm_q_tym(n, i):

@@ -357,7 +357,11 @@ class RingMatrix:
     @classmethod
     def parse(cls, ring, text):
         lines = [ln for ln in (ln.strip() for ln in text.splitlines()) if ln]
-        rows, cols = (int(x) for x in lines[0].split())
+        header = lines[0] if lines else ""
+        try:
+            rows, cols = (int(x) for x in header.split())
+        except ValueError:
+            raise ShapeMismatch("expected a 'rows cols' header, got %r" % header) from None
         if len(lines) != rows + 1:
             raise ShapeMismatch("expected %d data rows" % rows)
         flat = []

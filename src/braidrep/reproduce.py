@@ -133,7 +133,7 @@ def check_decompose():
 
 
 def check_trivial_burau():
-    return all(longmoody.identify_trivial_burau(n)[1] for n in (2, 3))
+    return all(longmoody.identify_trivial_burau(n) for n in (2, 3))
 
 
 def check_probe():

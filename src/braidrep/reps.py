@@ -9,30 +9,29 @@ from .words import BraidWord
 class GenRep:
     """A representation determined by images of the generators.
 
-    `images` maps each letter, ("s", i, 1), ("s", i, -1) and ("t", i), to
-    its RingMatrix; the constructor takes the sigma, sigma inverse and tau
-    images by 1-based generator index, tau_images None for a
-    classical-only representation.  When every image is monomial (one unit
-    entry per row and per column), words are evaluated by adding monomial
-    keys instead of multiplying matrices; the images themselves decide, on
-    first use.
+    `images` maps each letter to its RingMatrix: ("s", i, 1) and
+    ("s", i, -1) for sigma_i and its inverse, ("t", i) for tau_i when the
+    representation is `welded`, and for a representation of F_n x| B_n also
+    ("x", j, 1) and ("x", j, -1) for the free generator x_j and its
+    inverse, the letters of a FreeWord with "x" in front.  When every image
+    is monomial (one unit entry per row and per column), words are
+    evaluated by adding monomial keys instead of multiplying matrices; the
+    images themselves decide, on first use.
     """
 
-    __slots__ = ("n", "dim", "ring", "images", "name", "_classical", "_monomial")
+    __slots__ = ("n", "dim", "ring", "images", "name", "welded", "_monomial")
 
-    def __init__(self, n, dim, ring, sigma_images, sigma_inv_images,
-                 tau_images=None, name=""):
+    def __init__(self, n, dim, ring, images, name="", welded=False):
         for i in range(1, n):
-            if i not in sigma_images or i not in sigma_inv_images:
+            if (("s", i, 1) not in images or ("s", i, -1) not in images
+                    or welded and ("t", i) not in images):
                 raise ValueError("missing image for generator %d" % i)
         self.n = n
         self.dim = dim
         self.ring = ring
-        self.images = {("s", i, 1): m for i, m in sigma_images.items()}
-        self.images.update((("s", i, -1), m) for i, m in sigma_inv_images.items())
-        self.images.update((("t", i), m) for i, m in (tau_images or {}).items())
+        self.images = dict(images)
         self.name = name
-        self._classical = tau_images is None
+        self.welded = welded
         self._monomial = None
 
     def _by_index(self, *kind):
@@ -42,10 +41,10 @@ class GenRep:
     # read-only views of `images` by generator index, each a fresh dict
     sigma_images = property(lambda self: self._by_index("s", 1))
     sigma_inv_images = property(lambda self: self._by_index("s", -1))
-    tau_images = property(lambda self: None if self._classical else self._by_index("t"))
+    tau_images = property(lambda self: self._by_index("t") if self.welded else None)
 
     def letter_image(self, letter):
-        if letter[0] == "t" and self._classical:
+        if letter[0] == "t" and not self.welded:
             raise ValueError("representation has no virtual generator images")
         return self.images[letter]
 
@@ -57,8 +56,12 @@ class GenRep:
             out = self._monomial_product(table, word.letters)
             if out is not None:
                 return out
+        return self._product(word.letters)
+
+    def _product(self, letters):
+        """The product of the letters' images, I for no letters."""
         out = None
-        for lt in word.letters:
+        for lt in letters:
             m = self.letter_image(lt)
             out = m if out is None else out * m
         return out if out is not None else RingMatrix.identity(self.ring, self.dim)
@@ -124,7 +127,7 @@ class GenRep:
         for i in range(1, n - 1):
             chk("braid relation at %d" % i,
                 W(s(i), s(i + 1), s(i)), W(s(i + 1), s(i), s(i + 1)))
-        if not self._classical:
+        if self.welded:
             for i in range(1, n):
                 chk("tau_%d involution" % i, W(t(i), t(i)), W())
                 for j in range(i + 2, n):
@@ -145,7 +148,7 @@ class GenRep:
 
 
 def _block_rep(n, ring, block, block_inv, tau_block=None, name=""):
-    """Build a GenRep whose sigma_i image is identity except a 2x2 block at i, i+1."""
+    """Build a GenRep whose generator images are identity except a 2x2 block at i, i+1."""
     def at(b, i):
         entries = {}
         for k in range(n):
@@ -157,10 +160,13 @@ def _block_rep(n, ring, block, block_inv, tau_block=None, name=""):
         entries[(i, i)] = b[1][1]
         return RingMatrix.from_entries_dict(ring, n, entries)
 
-    sig = {i: at(block, i) for i in range(1, n)}
-    sig_inv = {i: at(block_inv, i) for i in range(1, n)}
-    taus = {i: at(tau_block, i) for i in range(1, n)} if tau_block is not None else None
-    return GenRep(n, n, ring, sig, sig_inv, taus, name=name)
+    images = {}
+    for i in range(1, n):
+        images[("s", i, 1)] = at(block, i)
+        images[("s", i, -1)] = at(block_inv, i)
+        if tau_block is not None:
+            images[("t", i)] = at(tau_block, i)
+    return GenRep(n, n, ring, images, name=name, welded=tau_block is not None)
 
 
 def make_burau(n, param):
@@ -205,17 +211,23 @@ def make_one_dim(n, r):
     ring = r.ctx
     m = RingMatrix.from_rows(ring, [[r]])
     m_inv = RingMatrix.from_rows(ring, [[r.inverse()]])
-    sig = {i: m for i in range(1, n)}
-    sig_inv = {i: m_inv for i in range(1, n)}
-    return GenRep(n, 1, ring, sig, sig_inv, name="onedim")
+    images = {("s", i, e): m if e > 0 else m_inv for i in range(1, n) for e in (1, -1)}
+    return GenRep(n, 1, ring, images, name="onedim")
 
 
-def tensor_one_dim(rep, r):
-    """Tensor a representation with the one-dimensional rep sigma_i -> r."""
+def tensor_one_dim(rep, r, kind="s"):
+    """Tensor a representation with the one-dimensional one that sends each
+    letter (kind, i, 1) to the unit r, (kind, i, -1) to r^-1 and every
+    other letter to 1.
+
+    Kind "s" twists the braid generators.  Kind "x" scales the free
+    letters of a representation of F_n x| B_n: x_j -> r, sigma_i -> 1 is
+    one of F_n x| B_n, as the Artin action keeps exponent sums.
+    """
     if r.ctx != rep.ring:
         raise ValueError("scalar lives in a different ring")
     rinv = r.inverse()
-    sig = {i: m.scale(r) for i, m in rep.sigma_images.items()}
-    sig_inv = {i: m.scale(rinv) for i, m in rep.sigma_inv_images.items()}
-    return GenRep(rep.n, rep.dim, rep.ring, sig, sig_inv, rep.tau_images,
-                  name=rep.name + "*onedim")
+    images = {lt: m.scale(r if lt[2] > 0 else rinv) if lt[0] == kind else m
+              for lt, m in rep.images.items()}
+    return GenRep(rep.n, rep.dim, rep.ring, images, name=rep.name + "*onedim",
+                  welded=rep.welded)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -342,6 +343,56 @@ def test_lm_build_onedim(capsys):
                          "--n", "2", "--q-twist")
     assert status == 0
     assert "q^2" in out
+
+
+# SHA-256 of the text output of `lm build --source S --n N [--q-twist]`.
+# wtym builds the construction on its sigma images alone.
+LM_BUILD_DIGESTS = {
+    "tym 2": "22b615b1a602e7e3a885747e4b0e6cdce3a1236a05c754162ed7458c250e0e32",
+    "tym 2 --q-twist": "fc7d9d1504250b0457bfb87ebbdbd251c0167d1b3209ac9ad70a4c105610ff79",
+    "burau 2": "7bc359991008553a01cb5138f29464a369ec94d5683e6f5f464ede6c3c9ddd95",
+    "burau 2 --q-twist": "0596b335114844b9f145d2d55adbc50ac199b65a69233503cbaa5c2e26116515",
+    "onedim:t 2": "ff45cfa302c4396ac7a977b88e148983dc4c96f09ec5db5d56c42a9d3b381901",
+    "onedim:t 2 --q-twist": "cfd7ff25e6dfaa6b908254fd2290ad7511fa16a934eb83d4f7443fab8ea23886",
+    "eta 2": "54bfa6617c9ddc89975bf693fe553801b6fba4371346ec4313182d3aadabeeba",
+    "eta 2 --q-twist": "83077e0da959264c8e38f5524c9df5692c848df62277098d0591654092c09c96",
+    "wtym 2": "b34d866d8c32634e45ecefd2a26681d525ad8f177104110f6b8bf8c12b48c28a",
+    "tym 3": "b515ada204b56eaacbb0a9011885579f9e202b33b0de86acda5126640b44061c",
+    "tym 3 --q-twist": "8e29423ba06bf9443ba0b09c148b1c22c24d493e807fe630108ad3ec0a678aa9",
+    "burau 3": "c2fbc2af9a9ec375e644411ebb69a66b1161c70a8b41521a1cb19a6d9a023dd2",
+    "burau 3 --q-twist": "b35674d04106428fe96fffa26c6dedd671a162ca3f4e4f1a2075fe94b8fce79a",
+    "onedim:t 3": "6fcc638fb247ee60228ce446455d85a20d355acab1499c79b4eb54c024d24e3a",
+    "onedim:t 3 --q-twist": "dc424b926135ac7e22969408a6cf9f1429bade0bd26dfc09df61a4cf4948a2d5",
+    "eta 3": "14d2410cec059b71d1fd452513019ed909f601f76c2b3e0badb37f0d8cf721ba",
+    "eta 3 --q-twist": "b7e739453092c4a86ce23de24f684033a29fdfce0955e2f5b2131fa4ff3a8768",
+    "wtym 3": "9d4332965abe0f6bc6ab984901722834eda1af7faa96659b2d9d4ca68eb6a323",
+    "tym 4": "ad93cc02faf61d8c9647043c7f1bb4a8ea0034a6801a1d3f64e721d6a18e2fff",
+    "tym 4 --q-twist": "730857c499a6854e3c44fa96d4611bf4d144bb66d48dd2e26cb9694820ad0378",
+    "burau 4": "4e65e05ecfabc720964e158f868affc46e2ec960afdd4dc492ba8e40eaddc175",
+    "burau 4 --q-twist": "e7ee50c92cfcacb030612fa6339d1832d67cb16a170970da7346f6b1e7327754",
+    "onedim:t 4": "b941079ee0abc16deea809d43535a97eb4020afea8365fa1f51e29e82178d869",
+    "onedim:t 4 --q-twist": "66ac47c791df8347321d6a923a5c4b928f822fb74f0d641a8762580fc8d9bf72",
+    "eta 4": "28bd28ded6cf98bd162cf15c745737399612c2aedd765056aa570fcff6325eaf",
+    "eta 4 --q-twist": "a567e6f1ed7a589e8235691acf0874060481d586798c72c4e2400e09d2dc8a0a",
+    "wtym 4": "d2eb961814f2799ff0972530d425eff86a8024f1ccc2c2ef84103e9e1ce17608",
+    "tym 5": "89796a82afd142206f93a63f6bb62cf2c1467f054d161486e4d047bf5ba20e24",
+    "tym 5 --q-twist": "ea1710774297a4076f678a5b57d7966fa33e69d9807161587a67a9ab9cd961aa",
+    "burau 5": "9daea9468739a419b42a860c9004a59bc39ade968dcbeb5038652aea0834e577",
+    "burau 5 --q-twist": "22540c4021a14fb6b109edabd79b689e9c318825b6c1baf898de31dc14c99b9d",
+    "onedim:t 5": "64dc97e9736f2a302f4c4c0ac75c1d88adf275174c0e4dead824684341760220",
+    "onedim:t 5 --q-twist": "9e9d4b8a269e762c6819dca56cdc07a2817e39838b3338fee6fdf9c2ff85b871",
+    "eta 5": "90c9775868579f78dd3390ca90c36731bf149cac3be161184c05354bc524a0ea",
+    "eta 5 --q-twist": "9b232a3dbac3634c4e28e2793c42e88dcc4fa16bcc550fae19909fa1d55f0456",
+    "wtym 5": "7b765b7d9e6f810cd673702c825e5cbe55d2d1f15815bfba3d12721f9d861229",
+}
+
+
+@pytest.mark.parametrize("key", sorted(LM_BUILD_DIGESTS))
+def test_lm_build_output_is_pinned(capsys, key):
+    source, n, *twist = key.split()
+    status, out, _ = run(capsys, "lm", "build", "--source", source, "--n", n, *twist)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LM_BUILD_DIGESTS[key]
 
 
 def test_paper_reproduce(capsys):

@@ -11,7 +11,7 @@ from braidrep.longmoody import (WITNESS_PRIME, _EchelonBasis, _identity_verdict,
                                 decompose_check, identify_trivial_burau,
                                 intertwining_check, irreducibility_probe,
                                 kernel_experiment, kernel_words, lm_apply, lm_q,
-                                lm_semidirect, make_eta, reduced_lm3, SemidirectRep)
+                                lm_semidirect, make_eta, reduced_lm3)
 from braidrep.matrices import RingMatrix, direct_sum
 from braidrep.reps import (GenRep, make_burau, make_one_dim, make_tym, make_wtym,
                            tensor_one_dim)
@@ -87,10 +87,10 @@ def lm_q_reference(rho):
 def lm_semidirect_q_reference(eta):
     """lm_semidirect(eta, q_twist=True) by its definition: sigma and x
     images scaled by q, the construction, then the result scaled by q^{-1}."""
-    q = eta.braid.ring.var("q")
-    twisted = SemidirectRep(
-        tensor_one_dim(eta.braid, q),
-        {lt: m.scale(q if lt[1] > 0 else q.inverse()) for lt, m in eta.x.items()})
+    q = eta.ring.var("q")
+    twisted = GenRep(eta.n, eta.dim, eta.ring,
+                     {lt: m.scale(q if lt[2] > 0 else q.inverse()) for lt, m in eta.images.items()},
+                     name=eta.name)
     return tensor_one_dim(lm_semidirect(twisted), q.inverse())
 
 
@@ -140,7 +140,9 @@ def test_lm_semidirect_trivial_x_images():
     ring = RingContext(("t",))
     tym = make_tym(n, ring)
     ident = RingMatrix.identity(ring, n)
-    eta = SemidirectRep(tym, {(i, s): ident for i in range(1, n + 1) for s in (1, -1)})
+    images = dict(tym.images)
+    images.update((("x", i, s), ident) for i in range(1, n + 1) for s in (1, -1))
+    eta = GenRep(n, n, ring, images)
     rep = lm_semidirect(eta)
     s = rep.sigma_images[1]
     d = n
@@ -185,9 +187,7 @@ def test_decompose_check():
 
 def test_identify_trivial_burau():
     for n in (2, 3):
-        basis, ok = identify_trivial_burau(n)
-        assert ok
-        assert basis.is_identity()
+        assert identify_trivial_burau(n) is True
 
 
 def test_lm_q_trivial_small_case():
@@ -210,12 +210,8 @@ def test_irreducibility_probe_negative_controls():
     report = irreducibility_probe(bur, p=10007, trials=3, seed=1)
     assert report["dimension"] < 9
     two = make_burau(2, RingContext(("t",)).var("t"))
-    summed = {i: direct_sum([two.sigma_images[i], two.sigma_images[i]])
-              for i in (1,)}
-    summed_inv = {i: direct_sum([two.sigma_inv_images[i], two.sigma_inv_images[i]])
-                  for i in (1,)}
-    from braidrep.reps import GenRep
-    rep = GenRep(2, 4, two.ring, summed, summed_inv, name="bur2+bur2")
+    summed = {lt: direct_sum([m, m]) for lt, m in two.images.items()}
+    rep = GenRep(2, 4, two.ring, summed, name="bur2+bur2")
     report = irreducibility_probe(rep, p=10007, trials=3, seed=1)
     assert report["dimension"] < 16
 
@@ -334,9 +330,9 @@ def test_echelon_basis_reduces_past_the_int64_range():
 
 def test_irreducibility_probe_refuses_wrong_inverse_images():
     tym = make_tym(3)
-    sig_inv = dict(tym.sigma_inv_images)
-    sig_inv[2] = tym.sigma_images[2]
-    broken = GenRep(3, 3, tym.ring, tym.sigma_images, sig_inv, name="broken")
+    images = dict(tym.images)
+    images[("s", 2, -1)] = tym.images[("s", 2, 1)]
+    broken = GenRep(3, 3, tym.ring, images, name="broken")
     with pytest.raises(ValueError, match="sigma_2 in broken"):
         irreducibility_probe(broken, p=10007, trials=1, seed=0)
 
@@ -354,21 +350,20 @@ def test_intertwining_small():
 
 def test_intertwining_check_names_the_failing_pairs():
     tym = make_tym(4)
-    sig = dict(tym.sigma_images)
-    sig[2] = tym.sigma_images[1]
-    broken = GenRep(4, 4, tym.ring, sig, tym.sigma_inv_images)
+    images = dict(tym.images)
+    images[("s", 2, 1)] = tym.images[("s", 1, 1)]
+    broken = GenRep(4, 4, tym.ring, images)
     assert intertwining_check(broken) == [(1, 2), (1, 3), (2, 2), (2, 3)]
-    sig_inv = dict(tym.sigma_inv_images)
-    sig_inv[2] = tym.sigma_inv_images[1]
-    broken = GenRep(4, 4, tym.ring, sig, sig_inv)
+    images[("s", 2, -1)] = tym.images[("s", 1, -1)]
+    broken = GenRep(4, 4, tym.ring, images)
     assert intertwining_check(broken) == [(2, 2), (2, 3)]
 
 
 def test_check_semidirect_names_the_failing_pairs():
     eta = make_eta(3)
-    x = dict(eta.x)
-    x[(1, 1)], x[(1, -1)] = x[(2, 1)], x[(2, -1)]
-    broken = SemidirectRep(make_tym(3, eta.braid.ring), x)
+    images = dict(eta.images)
+    images[("x", 1, 1)], images[("x", 1, -1)] = images[("x", 2, 1)], images[("x", 2, -1)]
+    broken = GenRep(3, 3, eta.ring, images)
     assert check_semidirect(broken) == [(1, 1), (1, 2), (2, 1)]
 
 
@@ -454,9 +449,9 @@ def burau4_squared():
     bur = make_burau(4, RingContext(("t",)).var("t"))
     sig, sig_inv = bur.sigma_images, bur.sigma_inv_images
     pairs = {1: (1, 2), 2: (2, 3), 3: (3, 1)}
-    return GenRep(4, 4, bur.ring, {i: sig[a] * sig[b] for i, (a, b) in pairs.items()},
-                  {i: sig_inv[b] * sig_inv[a] for i, (a, b) in pairs.items()},
-                  name="burau4^2")
+    images = {("s", i, 1): sig[a] * sig[b] for i, (a, b) in pairs.items()}
+    images.update((("s", i, -1), sig_inv[b] * sig_inv[a]) for i, (a, b) in pairs.items())
+    return GenRep(4, 4, bur.ring, images, name="burau4^2")
 
 
 MODP_REPS = [make_burau(4, RingContext(("t",)).var("t")), make_tym(4), make_wtym(3),
@@ -502,7 +497,7 @@ def test_images_mod_p_holds_heavy_columns_and_zero_images():
     assert max(idx.shape[0] for idx, _ in images.images.values()) == 3
     ring = RingContext(("t",))
     zero = RingMatrix.zeros(ring, 2, 2)
-    rep = GenRep(2, 2, ring, {1: zero}, {1: zero}, name="zero")
+    rep = GenRep(2, 2, ring, {("s", 1, 1): zero, ("s", 1, -1): zero}, name="zero")
     images = _ImagesModP(rep, [("s", 1, 1)], PrimeField(10007), {"t": 5})
     assert images.images[("s", 1, 1)][0].shape == (0, 2)
     assert not images.product([("s", 1, 1), ("s", 1, 1)]).any()
@@ -518,9 +513,9 @@ def test_kernel_experiment_is_deterministic():
 
 def test_identity_verdict_refuses_wrong_inverse_images():
     tym = make_tym(3)
-    sig_inv = dict(tym.sigma_inv_images)
-    sig_inv[2] = tym.sigma_images[2]
-    broken = GenRep(3, 3, tym.ring, tym.sigma_images, sig_inv, name="broken")
+    images = dict(tym.images)
+    images[("s", 2, -1)] = tym.images[("s", 2, 1)]
+    broken = GenRep(3, 3, tym.ring, images, name="broken")
     word = BraidWord(3, [("s", 1, 1), ("s", 2, 1), ("s", 1, -1), ("s", 2, -1)])
     with pytest.raises(ValueError, match="inverse image of sigma_2 in broken is not its "
                                          "inverse mod %d" % WITNESS_PRIME):
@@ -535,12 +530,13 @@ def test_identity_verdict_refuses_wrong_inverse_images():
                                   lambda: _semidirect_pair(make_burau(5, TQ.var("t")))])
 def test_x_word_is_the_product_of_the_x_images(make):
     eta = make()
-    rank = eta.braid.n
+    rank = eta.n
     rng = random.Random(rank)
     for length in (0, 1, 2, 7, 15):
         w = FreeWord(rank, [(rng.randrange(1, rank + 1), rng.choice((1, -1)))
                             for _ in range(length)])
-        expect = RingMatrix.identity(eta.braid.ring, eta.braid.dim)
-        for lt in w.letters:
-            expect = expect * eta.x[lt]
-        assert eta.x_word(w) == expect
+        letters = [("x", j, e) for j, e in w.letters]
+        expect = RingMatrix.identity(eta.ring, eta.dim)
+        for lt in letters:
+            expect = expect * eta.images[lt]
+        assert eta._product(letters) == expect

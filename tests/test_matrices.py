@@ -269,3 +269,9 @@ def test_render_parse_round_trip():
     m = tmat([[0, t ** -1], ["1 - t", 2]])
     again = RingMatrix.parse(T, m.render())
     assert again == m
+
+
+@pytest.mark.parametrize("text", ["", "2", "1 1 1", "a b"])
+def test_parse_rejects_a_bad_header(text):
+    with pytest.raises(ShapeMismatch, match="expected a 'rows cols' header"):
+        RingMatrix.parse(T, text)

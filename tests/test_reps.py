@@ -68,12 +68,12 @@ def test_check_relations_pass():
 
 def test_check_relations_negative_control():
     tym = make_tym(3)
-    broken = dict(tym.sigma_images)
+    broken = dict(tym.images)
     ring = tym.ring
     bad = RingMatrix.from_entries_dict(
         ring, 3, {(0, 1): ring.one(), (1, 0): ring.one(), (2, 2): ring.one()})
-    broken[1] = bad
-    rep = GenRep(3, 3, ring, broken, tym.sigma_inv_images, name="broken")
+    broken[("s", 1, 1)] = bad
+    rep = GenRep(3, 3, ring, broken, name="broken")
     assert rep.check_relations() != []
 
 
@@ -263,5 +263,8 @@ def test_a_view_is_a_copy(name):
         view.clear()
     assert rep.sigma_images and rep.sigma_inv_images
     assert rep.evaluate(word) == before
-    assert GenRep(rep.n, rep.dim, rep.ring, rep.sigma_images, rep.sigma_inv_images,
-                  rep.tau_images).evaluate(word) == before
+    table = {("s", i, e): m for e, view in ((1, rep.sigma_images), (-1, rep.sigma_inv_images))
+             for i, m in view.items()}
+    table.update((("t", i), m) for i, m in (rep.tau_images or {}).items())
+    assert GenRep(rep.n, rep.dim, rep.ring, table,
+                  welded=rep.tau_images is not None).evaluate(word) == before
