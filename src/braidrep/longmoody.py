@@ -235,7 +235,7 @@ def _field_dtype(terms, p):
 
 
 class _ImagesModP:
-    """The images of some letters of a representation at a unit point mod p.
+    """Every letter image of a representation at a unit point mod p.
 
     Only the nonzero entries of each image are specialised.  An image is
     kept in column-gather form: `idx` and `coef`, both w x d, where w is the
@@ -246,19 +246,19 @@ class _ImagesModP:
     on int64 while w*(p-1)^2 stays below 2^63 (w the largest column weight
     of all the images), on exact Python integers above.
 
-    Where both sigma_i and its inverse are among the letters, their images
-    are checked mod p: ValueError if the product is not I.
+    Each pair of letters (kind, i, 1) and (kind, i, -1) in the table, sigma
+    and x alike, is checked mod p: ValueError if their product is not I.
     """
 
-    __slots__ = ("p", "point", "dim", "dtype", "images")
+    __slots__ = ("rep", "p", "point", "dim", "dtype", "images")
 
-    def __init__(self, rep, letters, field, point):
+    def __init__(self, rep, field, point):
+        self.rep = rep
         p = self.p = field.p
         self.point = point
         d = self.dim = rep.dim
         cols = {}
-        for lt in letters:
-            m = rep.letter_image(lt)
+        for lt, m in rep.images.items():
             cols[lt] = [[(j, e) for j, e in enumerate(m.entries[k::d]) if e.terms]
                         for k in range(d)]
         self.dtype = _field_dtype(max((len(c) for cs in cols.values() for c in cs), default=0), p)
@@ -274,11 +274,12 @@ class _ImagesModP:
             self.images[lt] = (idx, coef)
         eye = self.identity()
         for lt in self.images:
-            inv = ("s", lt[1], -1)
-            if (lt == ("s", lt[1], 1) and inv in self.images
+            inv = lt[:2] + (-1,)
+            if (lt[2:] == (1,) and inv in self.images
                     and not np.array_equal(self.mul(self.mul(eye, lt), inv), eye)):
-                raise ValueError("inverse image of sigma_%d in %s is not its inverse mod %d"
-                                 % (lt[1], rep.name or "the representation", p))
+                raise ValueError("inverse image of %s_%d in %s is not its inverse mod %d"
+                                 % ("sigma" if lt[0] == "s" else lt[0], lt[1],
+                                    rep.name or "the representation", p))
 
     def identity(self):
         return np.eye(self.dim, dtype=self.dtype)
@@ -367,13 +368,16 @@ def irreducibility_probe(rep, p=10007, trials=5, seed=0):
     """Burnside span probe at random prime-field specializations.
 
     A trial specializes every variable to a random nonzero value mod p and
-    closes the span of words in the generator images and their inverses
-    under multiplication: the identity first, then one frontier of new
-    basis vectors at a time, each multiplied by every generator.  Reaching
-    dimension d*d in any trial certifies that no proper invariant subspace
-    can exist generically.  The inverses are the representation's own
-    inverse images, specialized the same way and checked mod p: ValueError
-    if some g * g_inv is not I.  `p` must be prime and `trials` at least 1
+    closes the span of words in the generator images under multiplication:
+    the identity first, then one frontier of new basis vectors at a time,
+    each multiplied by every generator.  The generators are the letters of
+    the representation's table other than the (kind, i, -1) ones.  Their
+    inverse images are specialized too and checked mod p (ValueError if
+    some g * g_inv is not I), and need no closing: over F_p an invertible g
+    is a polynomial in g by Cayley-Hamilton, so g^-1 lies in any span
+    closed under g.  Reaching dimension d*d in any trial certifies that no
+    proper invariant subspace can exist generically; with no generator the
+    span is that of I.  `p` must be prime and `trials` at least 1
     (ValueError otherwise).  Reducing a vector of length d*d sums up to
     d*d products of residues, so the span is kept on int64 while
     d*d*(p-1)^2 stays below 2^63, and on exact Python integers above; each
@@ -388,15 +392,15 @@ def irreducibility_probe(rep, p=10007, trials=5, seed=0):
     n = d * d
     dtype = _field_dtype(n, p)
     best = 0
-    letters = [("s", i, s) for i in range(1, rep.n) for s in (1, -1)]
+    gens = [lt for lt in rep.images if lt[2:] != (-1,)]
     for trial in range(1, trials + 1):
         values = {v: rng.randrange(1, p) for v in rep.ring.variables}
-        images = _ImagesModP(rep, letters, field, values)
+        images = _ImagesModP(rep, field, values)
         basis = _EchelonBasis(p, n)
         frontier = basis.add(np.eye(d, dtype=dtype).reshape(1, n))
         while len(frontier) and basis.dim() < n:
-            added = []
-            for lt in letters:
+            added = [frontier[:0]]
+            for lt in gens:
                 block = images.mul(frontier.reshape(-1, d), lt)
                 added.append(basis.add(block.reshape(-1, n)))
                 if basis.dim() == n:
@@ -444,10 +448,10 @@ def _witness_images(rep):
     """Every letter image of `rep` at the fixed witness point mod WITNESS_PRIME."""
     rng = random.Random(0)  # a fixed point, so reports repeat exactly
     point = {v: rng.randrange(2, WITNESS_PRIME - 1) for v in rep.ring.variables}
-    return _ImagesModP(rep, rep.images, PrimeField(WITNESS_PRIME), point)
+    return _ImagesModP(rep, PrimeField(WITNESS_PRIME), point)
 
 
-def _identity_verdict(rep, word, images):
+def _identity_verdict(images, word):
     """Whether rep(word) is the identity, and how that was settled.
 
     Specialising every variable at a unit point mod p is a ring
@@ -457,12 +461,12 @@ def _identity_verdict(rep, word, images):
     nonzero exact difference (its chance is at most degree/p by
     Schwartz-Zippel), so that case is settled by exact evaluation and the
     method is "exact": an identity verdict never rests on modular
-    arithmetic.  `images` is `_witness_images(rep)`, built once for all the
-    words checked in `rep`.
+    arithmetic.  `images` is `_witness_images(rep)` of the representation
+    `rep` the word is checked in, built once for all its words.
     """
     if not np.array_equal(images.product(word.letters), images.identity()):
         return False, {"p": images.p, "point": images.point}
-    return rep.evaluate(word).is_identity(), "exact"
+    return images.rep.evaluate(word).is_identity(), "exact"
 
 
 def kernel_experiment(words=None):
@@ -480,22 +484,22 @@ def kernel_experiment(words=None):
     if words is None:
         words = kernel_words()
     results = {}
-    cache = {}  # per n: each representation with its witness images
+    cache = {}  # per n: the witness images of each representation
     for name, w in words.items():
         n = w.n
         if n not in cache:
             tctx = RingContext(("t",))
             tqctx = RingContext(("t", "q"))
-            cache[n] = [(rep, _witness_images(rep)) for rep in (
+            cache[n] = [_witness_images(rep) for rep in (
                 make_burau(n, tctx.var("t")),
                 lm_apply(make_tym(n + 1, tctx)),
                 lm_q(make_tym(n + 2, tqctx)))]
         report = {"n": n}
         method = {}
-        for key, (rep, images), word in zip(
+        for key, images, word in zip(
                 ("burau_identity", "lm_identity", "t1lm_identity"),
                 cache[n], (w, w, w.shift(1))):
-            report[key], method[key] = _identity_verdict(rep, word, images)
+            report[key], method[key] = _identity_verdict(images, word)
         report["method"] = method
         results[name] = report
     return results

@@ -7,7 +7,7 @@ return fresh values.
 from __future__ import annotations
 
 from .ring import (EXP_MAX, ContextMismatch, LaurentPoly, NotAUnit,
-                   _product_bound, _render_polys, _row_products, specialize)
+                   PolyParseError, _product_bound, _render_polys, _row_products, specialize)
 
 
 class ShapeMismatch(ValueError):
@@ -356,6 +356,9 @@ class RingMatrix:
 
     @classmethod
     def parse(cls, ring, text):
+        """Read `render` text; a malformed header or row shape is a
+        ShapeMismatch, an entry `ring.parse` refuses a PolyParseError that
+        names its 1-based row and column."""
         lines = [ln for ln in (ln.strip() for ln in text.splitlines()) if ln]
         header = lines[0] if lines else ""
         try:
@@ -365,11 +368,15 @@ class RingMatrix:
         if len(lines) != rows + 1:
             raise ShapeMismatch("expected %d data rows" % rows)
         flat = []
-        for ln in lines[1:]:
+        for r, ln in enumerate(lines[1:], 1):
             parts = ln.split(";")
             if len(parts) != cols:
                 raise ShapeMismatch("expected %d columns" % cols)
-            flat.extend(ring.parse(p) for p in parts)
+            for c, part in enumerate(parts, 1):
+                try:
+                    flat.append(ring.parse(part))
+                except (PolyParseError, KeyError) as exc:
+                    raise PolyParseError("row %d column %d: %s" % (r, c, exc.args[0])) from None
         return cls(ring, rows, cols, flat)
 
     def __repr__(self):

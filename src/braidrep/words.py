@@ -328,33 +328,10 @@ class GroupRingElement:
         return "GroupRingElement(%r)" % (self.terms,)
 
 
-def _artin_letter_image(letter, j, rank):
-    """Image of x_j under the Artin action of a single braid letter."""
-    kind = letter[0]
-    if kind != "s":
-        raise ValueError("Artin action is defined on classical letters only")
-    _, i, sign = letter
-    x = lambda g, s=1: FreeWord.gen(rank, g, s)
-    if sign > 0:
-        if j == i:
-            return x(i + 1)
-        if j == i + 1:
-            return x(i + 1, -1) * x(i) * x(i + 1)
-        return x(j)
-    else:
-        if j == i:
-            return x(i) * x(i + 1) * x(i, -1)
-        if j == i + 1:
-            return x(i)
-        return x(j)
-
-
-def _substitute(letter, w):
-    rank = w.rank
-    out = FreeWord.identity(rank)
+def _substitute(w, images, out):
+    """out times the image of the free word w under x_g -> images[g]."""
     for g, s in w.letters:
-        img = _artin_letter_image(letter, g, rank)
-        out = out * (img if s > 0 else img.inverse())
+        out = out * (images[g] if s > 0 else images[g].inverse())
     return out
 
 
@@ -362,18 +339,22 @@ def artin_action(word):
     """Images of x_1..x_n under the Artin action of a classical braid word.
 
     The action is a homomorphism to Aut(F_n) with composition
-    a(w1 w2) = a(w1) after a(w2).
+    a(w1 w2) = a(w1) after a(w2).  sigma_i sends x_i to x_{i+1} and x_{i+1}
+    to x_{i+1}^-1 x_i x_{i+1}; sigma_i^-1 sends x_i to x_i x_{i+1} x_i^-1
+    and x_{i+1} to x_i.  Both fix every other x_j, so each letter rewrites
+    only the images of x_i and x_{i+1}.
     """
     if not word.is_classical():
         raise ValueError("Artin action is defined on classical words only")
     rank = word.n
-    images = []
-    for j in range(1, rank + 1):
-        expr = FreeWord.gen(rank, j)
-        for letter in reversed(word.letters):
-            expr = _substitute(letter, expr)
-        images.append(expr)
-    return images
+    images = {j: FreeWord.gen(rank, j) for j in range(1, rank + 1)}
+    one = FreeWord.identity(rank)
+    for _, i, sign in word.letters:
+        x, y = (i, 1), (i + 1, 1)
+        # the letters of a(sigma_i^sign)(x_i) and a(sigma_i^sign)(x_{i+1})
+        rule = ([y], [(i + 1, -1), x, y]) if sign > 0 else ([x, y, (i, -1)], [x])
+        images[i], images[i + 1] = [_substitute(FreeWord(rank, r), images, one) for r in rule]
+    return [images[j] for j in range(1, rank + 1)]
 
 
 def chi(w):
@@ -383,15 +364,12 @@ def chi(w):
     extended homomorphically over the free word w.
     """
     n = w.rank
-    out = BraidWord.identity(n + 1)
-    cache = {}
-    for g, s in w.letters:
-        if g not in cache:
+    images = {}
+    for g, _ in w.letters:
+        if g not in images:
             conj = BraidWord(n + 1, [("s", k, 1) for k in range(g - 1, 0, -1)])
-            cache[g] = conj.inverse() * BraidWord.sigma(n + 1, g) ** 2 * conj
-        block = cache[g]
-        out = out * (block if s > 0 else block.inverse())
-    return out
+            images[g] = conj.inverse() * BraidWord.sigma(n + 1, g) ** 2 * conj
+    return _substitute(w, images, BraidWord.identity(n + 1))
 
 
 def fox_derivative(w, j):

@@ -224,6 +224,19 @@ def test_irreducibility_probe_pinned_reports():
         assert report == {"dimension": dim, "full": False, "trials_used": 1}
 
 
+def test_irreducibility_probe_closes_under_the_tau_letters():
+    # sigma_1 alone spans only 2 dimensions of the 2x2 matrices; with tau_1 all 4
+    report = irreducibility_probe(make_wtym(2), p=10007, trials=2, seed=0)
+    assert report == {"dimension": 4, "full": True, "trials_used": 1}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_irreducibility_probe_without_generators_spans_the_identity(d):
+    rep = GenRep(1, d, RingContext(("t",)), {})
+    report = irreducibility_probe(rep, p=10007, trials=2, seed=0)
+    assert report == {"dimension": 1, "full": d == 1, "trials_used": 1 if d == 1 else 2}
+
+
 def ref_probe(rep, p, trials, seed):
     """The probe closed one pivot at a time: each candidate word image is
     reduced by one row operation per stored pivot, words grown depth first."""
@@ -392,7 +405,7 @@ def test_shifted_kernel_containment_randomized():
 
 
 def identity_verdict(rep, word):
-    return _identity_verdict(rep, word, _witness_images(rep))
+    return _identity_verdict(_witness_images(rep), word)
 
 
 def test_identity_verdict_falls_back_to_exact_evaluation():
@@ -478,7 +491,7 @@ def test_images_mod_p_product_is_the_dense_product(case):
     rep, p, point, letters = case
     field = PrimeField(p)
     d = rep.dim
-    images = _ImagesModP(rep, dict.fromkeys(letters), field, point)
+    images = _ImagesModP(rep, field, point)
     expect = np.eye(d, dtype=object)
     for lt in letters:
         m = rep.letter_image(lt)
@@ -493,17 +506,31 @@ def test_images_mod_p_product_is_the_dense_product(case):
 
 def test_images_mod_p_holds_heavy_columns_and_zero_images():
     rep = burau4_squared()
-    images = _ImagesModP(rep, rep.images, PrimeField(10007), {"t": 5})
+    images = _ImagesModP(rep, PrimeField(10007), {"t": 5})
     assert max(idx.shape[0] for idx, _ in images.images.values()) == 3
+    # a tau letter has no inverse letter to check, so its image may be zero
     ring = RingContext(("t",))
-    zero = RingMatrix.zeros(ring, 2, 2)
+    eye, zero = RingMatrix.identity(ring, 2), RingMatrix.zeros(ring, 2, 2)
+    rep = GenRep(2, 2, ring, {("s", 1, 1): eye, ("s", 1, -1): eye, ("t", 1): zero},
+                 name="zero", welded=True)
+    images = _ImagesModP(rep, PrimeField(10007), {"t": 5})
+    assert images.images[("t", 1)][0].shape == (0, 2)
+    assert not images.product([("t", 1), ("s", 1, 1), ("t", 1)]).any()
+    assert images.mul(np.ones((5, 2), dtype=np.int64), ("t", 1)).shape == (5, 2)
     rep = GenRep(2, 2, ring, {("s", 1, 1): zero, ("s", 1, -1): zero}, name="zero")
-    images = _ImagesModP(rep, [("s", 1, 1)], PrimeField(10007), {"t": 5})
-    assert images.images[("s", 1, 1)][0].shape == (0, 2)
-    assert not images.product([("s", 1, 1), ("s", 1, 1)]).any()
-    assert images.mul(np.ones((5, 2), dtype=np.int64), ("s", 1, 1)).shape == (5, 2)
     with pytest.raises(ValueError, match="sigma_1 in zero is not its inverse mod 10007"):
-        _ImagesModP(rep, [("s", 1, 1), ("s", 1, -1)], PrimeField(10007), {"t": 5})
+        _ImagesModP(rep, PrimeField(10007), {"t": 5})
+
+
+def test_witness_images_refuse_a_wrong_x_inverse():
+    eta = make_eta(3, TQ)
+    images = dict(eta.images)
+    images[("x", 2, -1)] = images[("x", 2, 1)]
+    broken = GenRep(3, 3, TQ, images, name="broken")
+    with pytest.raises(ValueError, match="inverse image of x_2 in broken is not its "
+                                         "inverse mod %d" % WITNESS_PRIME):
+        _witness_images(broken)
+    assert _witness_images(eta).images.keys() == eta.images.keys()
 
 
 def test_kernel_experiment_is_deterministic():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from braidrep.matrices import (Permutation, RingMatrix, ShapeMismatch,
                                direct_sum)
 from braidrep.reps import make_burau
-from braidrep.ring import EXP_MAX, NotAUnit, RingContext
+from braidrep.ring import EXP_MAX, NotAUnit, PolyParseError, RingContext
 
 T = RingContext(("t",))
 TUV = RingContext(("t", "u", "v"))
@@ -269,6 +269,16 @@ def test_render_parse_round_trip():
     m = tmat([[0, t ** -1], ["1 - t", 2]])
     again = RingMatrix.parse(T, m.render())
     assert again == m
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 1\nx", "row 1 column 1: variable 'x' not in context ('t',)"),
+    ("2 2\n1;t\nt;t +", "row 2 column 2: dangling sign in 't +'"),
+    ("1 2\n1;", "row 1 column 2: empty polynomial text")])
+def test_parse_names_the_entry_it_refuses(text, message):
+    with pytest.raises(PolyParseError) as info:
+        RingMatrix.parse(T, text)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("text", ["", "2", "1 1 1", "a b"])
