@@ -237,7 +237,8 @@ def _field_dtype(terms, p):
 class _ImagesModP:
     """Every letter image of a representation at a unit point mod p.
 
-    Only the nonzero entries of each image are specialised.  An image is
+    Only the nonzero entries of each image, read from the columns of its
+    product plan (matrices._ColumnPlan), are specialised.  An image is
     kept in column-gather form: `idx` and `coef`, both w x d, where w is the
     largest number of nonzero entries in a column of that image; column k
     holds coef[s, k] at row idx[s, k], shorter columns padded with
@@ -257,10 +258,7 @@ class _ImagesModP:
         p = self.p = field.p
         self.point = point
         d = self.dim = rep.dim
-        cols = {}
-        for lt, m in rep.images.items():
-            cols[lt] = [[(j, e) for j, e in enumerate(m.entries[k::d]) if e.terms]
-                        for k in range(d)]
+        cols = {lt: m._column_plan().columns for lt, m in rep.images.items()}
         self.dtype = _field_dtype(max((len(c) for cs in cols.values() for c in cs), default=0), p)
         self.images = {}
         for lt, cs in cols.items():

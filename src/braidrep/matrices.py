@@ -149,7 +149,8 @@ class RingMatrix:
             raise ShapeMismatch("%dx%d times %dx%d" % (self.rows, self.cols, other.rows, other.cols))
         if self.ring != other.ring:
             raise ContextMismatch("matrices over different rings")
-        copies, shifts, scols, srows, sbrows, sbound = other._column_plan()
+        plan = other._column_plan()
+        sums, srows, sbrows = plan.sums, plan.srows, plan.sbrows
         ctx = self.ring
         n, m, l = self.rows, self.cols, other.cols
         raw = LaurentPoly._raw
@@ -158,64 +159,31 @@ class RingMatrix:
         for i in range(n):
             arow = self.entries[i * m:(i + 1) * m]
             out = zeros[:]
-            for k, j in copies:
+            for k, j in plan.copies:
                 out[k] = arow[j]
-            for k, j, b, kb, cb in shifts:
+            for k, j, b, kb, cb in plan.shifts:
                 a = arow[j]
                 if a.terms:
                     bound = a._bound + b._bound
                     if bound > EXP_MAX:
                         bound = _product_bound(a, b)
                     out[k] = raw(ctx, {ka + kb: ca * cb for ka, ca in a.terms.items()}, bound)
-            if scols:
+            if sums:
                 # one exponent bound for the sum columns of this row
-                bound = max(arow[j]._bound for j in srows) + sbound
+                bound = max(arow[j]._bound for j in srows) + plan.bound
                 if bound > EXP_MAX:
-                    bound = max(_product_bound(arow[j], other.entries[j * l + k])
-                                for j in srows for k in scols)
-                prods = _row_products([arow[j].terms for j in srows], sbrows, len(scols))
-                for k, d in zip(scols, prods):
+                    bound = max(_product_bound(arow[j], b) for _, col in sums for j, b in col)
+                prods = _row_products([arow[j].terms for j in srows], sbrows, len(sums))
+                for (k, _), d in zip(sums, prods):
                     if d:
                         out[k] = raw(ctx, d, bound)
             flat.extend(out)
         return RingMatrix(ctx, n, l, flat)
 
     def _column_plan(self):
-        """How each column of this matrix is read as the right factor of a product.
-
-        Built on first use and kept.  A column with no nonzero entry gives
-        a zero column.  A column whose lone nonzero entry is 1, at row j,
-        shares column j of the left factor: (k, j) in `copies`.  A column
-        whose lone nonzero entry b, at row j, is the single term cb * (the
-        monomial of key kb) adds kb to every key of column j:
-        (k, j, b, kb, cb) in `shifts`.  The other columns, listed in
-        `scols`, are sums: `srows` lists the rows j with a nonzero entry in
-        one of them, `sbrows` holds [(position in scols, term map)] for
-        each such row, and `sbound` is the largest exponent bound of those
-        entries.
-        """
+        """This matrix's _ColumnPlan, built on first use and kept."""
         if self._plan is None:
-            l = self.cols
-            copies, shifts, scols = [], [], []
-            sbrows = [[] for _ in range(self.rows)]
-            sbound = 0
-            for k in range(l):
-                col = [(j, b) for j, b in enumerate(self.entries[k::l]) if b.terms]
-                if len(col) == 1 and len(col[0][1].terms) == 1:
-                    j, b = col[0]
-                    if b.is_one():
-                        copies.append((k, j))
-                    else:
-                        ((kb, cb),) = b.terms.items()
-                        shifts.append((k, j, b, kb, cb))
-                elif col:
-                    for j, b in col:
-                        sbrows[j].append((len(scols), b.terms))
-                        sbound = max(sbound, b._bound)
-                    scols.append(k)
-            srows = [j for j, brow in enumerate(sbrows) if brow]
-            sbrows = [sbrows[j] for j in srows]
-            self._plan = (copies, shifts, scols, srows, sbrows, sbound)
+            self._plan = _ColumnPlan(self)
         return self._plan
 
     def __add__(self, other):
@@ -318,8 +286,8 @@ class RingMatrix:
         if not self.is_square():
             raise ShapeMismatch("index relabel needs a square matrix")
         n = self.rows
-        return RingMatrix(self.ring, n, n,
-                          [self[perm(i), perm(j)] for i in range(n) for j in range(n)])
+        img, e = perm.img, self.entries
+        return RingMatrix(self.ring, n, n, [e[i * n + j] for i in img for j in img])
 
     def variable_twist(self, perm):
         """Relabel indexed-family variables: exponent at fam_j moves to fam_{perm(j)}.
@@ -381,6 +349,103 @@ class RingMatrix:
 
     def __repr__(self):
         return "RingMatrix(%dx%d over %r)" % (self.rows, self.cols, self.ring)
+
+
+class _ColumnPlan:
+    """How a matrix is read as the right factor of a product, from one scan.
+
+    `columns[k]` lists (row j, polynomial) for the nonzero entries of
+    column k.  Each nonzero column is also filed by kind.  A column whose
+    lone nonzero entry is 1, at row j, is (k, j) in `copies`: it repeats
+    column j of the left factor.  A column whose lone nonzero entry b, at
+    row j, is the single term cb * (the monomial of key kb) is
+    (k, j, b, kb, cb) in `shifts`: it adds kb to every key of column j.
+    Every other nonzero column is a sum, (k, its entries) in `sums`.
+    `bound` is the largest exponent bound of the shift and sum entries.
+    For the row kernel of RingMatrix.__mul__, `srows` lists the rows j
+    with an entry in a sum column and `sbrows` holds
+    [(position in sums, polynomial)] for each such row.
+    """
+
+    __slots__ = ("columns", "copies", "shifts", "sums", "bound", "srows", "sbrows")
+
+    def __init__(self, m):
+        l = m.cols
+        columns = [[] for _ in range(l)]
+        for i, b in enumerate(m.entries):
+            if b.terms:
+                columns[i % l].append((i // l, b))
+        copies, shifts, sums = [], [], []
+        sbrows = [[] for _ in range(m.rows)]
+        bound = 0
+        for k, col in enumerate(columns):
+            if len(col) == 1 and len(col[0][1].terms) == 1:
+                j, b = col[0]
+                if b.is_one():
+                    copies.append((k, j))
+                    continue
+                ((kb, cb),) = b.terms.items()
+                shifts.append((k, j, b, kb, cb))
+            elif col:
+                for j, b in col:
+                    sbrows[j].append((len(sums), b))
+                sums.append((k, col))
+            for _, b in col:
+                if b._bound > bound:
+                    bound = b._bound
+        self.columns, self.copies, self.shifts, self.sums = columns, copies, shifts, sums
+        self.bound = bound
+        self.srows = [j for j, brow in enumerate(sbrows) if brow]
+        self.sbrows = [sbrows[j] for j in self.srows]
+
+
+def _column_chain(factors):
+    """The product of two or more matrices, carried as a list of sparse columns.
+
+    Column k of the running product lists (row, polynomial) for its nonzero
+    entries, as _ColumnPlan.columns does, and one exponent bound covers
+    them all.  The chain starts from the first factor's plan columns.  Each
+    further factor is read through its plan: a copy column reuses a column
+    of the running product (the same list, so the same polynomials), a
+    shift column shifts the keys of one, and a sum column is the running
+    product times that column by _row_products, with the column's entries
+    as the row vector.  The product becomes a RingMatrix once, at the end.
+    It equals the left fold of RingMatrix.__mul__, with the same errors.
+    """
+    first = factors[0]
+    ctx, rows = first.ring, first.rows
+    raw = LaurentPoly._raw
+    plan = first._column_plan()
+    cols, bound = plan.columns, plan.bound
+    for m in factors[1:]:
+        if len(cols) != m.rows:
+            raise ShapeMismatch("%dx%d times %dx%d" % (rows, len(cols), m.rows, m.cols))
+        if m.ring != ctx:
+            raise ContextMismatch("matrices over different rings")
+        plan = m._column_plan()
+        new = [()] * m.cols
+        for k, j in plan.copies:
+            new[k] = cols[j]
+        bound += plan.bound
+        if bound > EXP_MAX:
+            # the exact bound of every product this factor makes, or OverflowError
+            bound = max([bound - plan.bound]
+                        + [_product_bound(a, b) for _, j, b, _, _ in plan.shifts for _, a in cols[j]]
+                        + [_product_bound(a, b) for _, col in plan.sums
+                           for j, b in col for _, a in cols[j]])
+        for k, j, b, kb, cb in plan.shifts:
+            new[k] = [(r, raw(ctx, {ka + kb: ca * cb for ka, ca in a.terms.items()}, bound))
+                      for r, a in cols[j]]
+        for k, col in plan.sums:
+            prods = _row_products([b.terms for _, b in col], [cols[j] for j, _ in col], rows)
+            new[k] = [(r, raw(ctx, d, bound)) for r, d in enumerate(prods) if d]
+        cols = new
+    l = len(cols)
+    flat = [ctx.zero()] * (rows * l)
+    for k, col in enumerate(cols):
+        for r, a in col:
+            flat[r * l + k] = a
+    return RingMatrix(ctx, rows, l, flat)
 
 
 def _monomial_rows(m):

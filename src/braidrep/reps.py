@@ -1,7 +1,7 @@
 """Matrix representations of braid and welded braid groups given by generator images."""
 from __future__ import annotations
 
-from .matrices import RingMatrix, _monomial_rows
+from .matrices import RingMatrix, _column_chain, _monomial_rows
 from .ring import EXP_MAX, LaurentPoly, RingContext
 from .words import BraidWord
 
@@ -59,12 +59,13 @@ class GenRep:
         return self._product(word.letters)
 
     def _product(self, letters):
-        """The product of the letters' images, I for no letters."""
-        out = None
-        for lt in letters:
-            m = self.letter_image(lt)
-            out = m if out is None else out * m
-        return out if out is not None else RingMatrix.identity(self.ring, self.dim)
+        """The product of the letters' images: I for no letters, the image
+        itself for one, and a chain of sparse columns for more."""
+        if not letters:
+            return RingMatrix.identity(self.ring, self.dim)
+        if len(letters) == 1:
+            return self.letter_image(letters[0])
+        return _column_chain([self.letter_image(lt) for lt in letters])
 
     def _monomial_table(self):
         """Each letter's image as one (column, key, coeff, bound) per row.
@@ -83,7 +84,7 @@ class GenRep:
         a letter costs one lookup, key addition and sign product per row.
         Keys add exactly while every exponent stays within EXP_MAX, which
         the summed bounds guarantee; returns None when they cannot, and
-        for a letter with no table entry, leaving both to the dense product.
+        for a letter with no table entry, leaving both to _product.
         """
         try:
             rows = table[letters[0]]

@@ -255,7 +255,7 @@ class LaurentPoly:
         bound = self._bound + other._bound
         if bound > EXP_MAX:
             bound = _product_bound(self, other)
-        (terms,) = _row_products((self.terms,), (((0, other.terms),),), 1)
+        (terms,) = _row_products((self.terms,), (((0, other),),), 1)
         return LaurentPoly._raw(self.ctx, terms, bound)
 
     __rmul__ = __mul__
@@ -308,7 +308,7 @@ def _row_products(arow, brows, width):
     """Term maps of the row vector `arow` times a sparse matrix.
 
     `arow[j]` is the term map of entry j of the row and `brows[j]` lists
-    (column, term map) for the nonzero entries of row j of the matrix.
+    (column, polynomial) for the nonzero entries of row j of the matrix.
     Returns one term map per column, None where no product landed.  This is
     the one multiplication loop of the package: keys add, coefficients
     multiply, and cancelled terms are dropped.
@@ -318,12 +318,13 @@ def _row_products(arow, brows, width):
         if not at:
             continue
         at = at.items()
-        for k, bt in brow:
+        for k, b in brow:
             d = acc[k]
             if d is None:
                 d = acc[k] = {}
+            bt = b.terms.items()
             for ka, ca in at:
-                for kb, cb in bt.items():
+                for kb, cb in bt:
                     key = ka + kb
                     s = d.get(key, 0) + ca * cb
                     if s:

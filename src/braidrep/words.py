@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 from .matrices import Permutation
 
@@ -328,11 +329,16 @@ class GroupRingElement:
         return "GroupRingElement(%r)" % (self.terms,)
 
 
-def _substitute(w, images, out):
-    """out times the image of the free word w under x_g -> images[g]."""
-    for g, s in w.letters:
-        out = out * (images[g] if s > 0 else images[g].inverse())
-    return out
+def _substitute(letters, images, make):
+    """The image of the free letters under x_g -> images[g], as make(its letters).
+
+    The letters of the images are collected first and the word is built
+    once, so the cost is linear in the length of the result.
+    """
+    out = []
+    for g, s in letters:
+        out += images[g].letters if s > 0 else images[g].inverse().letters
+    return make(out)
 
 
 def artin_action(word):
@@ -348,12 +354,12 @@ def artin_action(word):
         raise ValueError("Artin action is defined on classical words only")
     rank = word.n
     images = {j: FreeWord.gen(rank, j) for j in range(1, rank + 1)}
-    one = FreeWord.identity(rank)
+    make = partial(FreeWord, rank)
     for _, i, sign in word.letters:
         x, y = (i, 1), (i + 1, 1)
         # the letters of a(sigma_i^sign)(x_i) and a(sigma_i^sign)(x_{i+1})
         rule = ([y], [(i + 1, -1), x, y]) if sign > 0 else ([x, y, (i, -1)], [x])
-        images[i], images[i + 1] = [_substitute(FreeWord(rank, r), images, one) for r in rule]
+        images[i], images[i + 1] = [_substitute(r, images, make) for r in rule]
     return [images[j] for j in range(1, rank + 1)]
 
 
@@ -369,7 +375,7 @@ def chi(w):
         if g not in images:
             conj = BraidWord(n + 1, [("s", k, 1) for k in range(g - 1, 0, -1)])
             images[g] = conj.inverse() * BraidWord.sigma(n + 1, g) ** 2 * conj
-    return _substitute(w, images, BraidWord.identity(n + 1))
+    return _substitute(w.letters, images, partial(BraidWord, n + 1))
 
 
 def fox_derivative(w, j):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidrep.matrices import (Permutation, RingMatrix, ShapeMismatch,
-                               direct_sum)
+                               _column_chain, direct_sum)
 from braidrep.reps import make_burau
 from braidrep.ring import EXP_MAX, NotAUnit, PolyParseError, RingContext
 
@@ -218,6 +218,64 @@ def test_plan_product_equals_the_entrywise_product(operands):
     # b as a left factor, after its plan exists
     expect = product_or_overflow(entrywise_product, b, c)
     assert product_or_overflow(RingMatrix.__mul__, b, c) == expect
+
+
+@st.composite
+def chain_factors(draw):
+    """Two to five factors whose columns are of zero, copy, shift or sum kind."""
+    dims = draw(st.lists(st.integers(1, 5), min_size=3, max_size=6))
+    factors = []
+    for m, l in zip(dims, dims[1:]):
+        cols = [draw(plan_column(m)) for _ in range(l)]
+        factors.append(RingMatrix(TUV, m, l, [cols[k][j] for j in range(m) for k in range(l)]))
+    return factors
+
+
+def left_fold(factors):
+    out = factors[0]
+    for m in factors[1:]:
+        out = out * m
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_factors())
+def test_column_chain_equals_the_left_fold(factors):
+    # exponents near EXP_MAX: both raise OverflowError or both give one product
+    assert product_or_overflow(_column_chain, factors) == product_or_overflow(left_fold, factors)
+
+
+def test_column_chain_keeps_the_bound_of_the_columns_it_copies():
+    big, e = T.monomial([EXP_MAX - 1]), 2 ** 30
+    diag = lambda a, b: RingMatrix.from_rows(T, [[a, 0], [0, b]])
+    # the exact fallback of the second factor sees only t^-e * t^e, but the
+    # copied column still holds t^(EXP_MAX - 1), which the third one shifts
+    factors = [diag(big, T.var("t", -e)), diag(1, T.var("t", e)), diag(T.var("t", 5), 1)]
+    assert _column_chain(factors[:2]) == left_fold(factors[:2]) == diag(big, 1)
+    for product in (_column_chain, left_fold):
+        with pytest.raises(OverflowError):
+            product(factors)
+
+
+def test_column_chain_shares_the_columns_a_lone_one_keeps():
+    bur = make_burau(5, T.var("t"))
+    first = bur.sigma_images[1]
+    # sigma_3's images keep columns 0, 1 and 4 as lone 1s on the diagonal
+    rest = [bur.sigma_images[3], bur.sigma_inv_images[3], bur.sigma_images[3]]
+    out = _column_chain([first] + rest)
+    assert out == left_fold([first] + rest)
+    for k in (0, 1, 4):
+        for r in range(5):
+            if first[r, k].terms:
+                assert out[r, k] is first[r, k]
+    assert any(first[r, 0].terms for r in range(5))
+
+
+def test_column_chain_refuses_what_the_product_refuses():
+    with pytest.raises(ShapeMismatch, match="2x2 times 3x3"):
+        _column_chain([RingMatrix.identity(T, 2), RingMatrix.identity(T, 3)])
+    with pytest.raises(ValueError, match="different rings"):
+        _column_chain([RingMatrix.identity(T, 2), RingMatrix.identity(TUV, 2)])
 
 
 def test_permutation_algebra():

@@ -217,6 +217,82 @@ def test_evaluate_on_dense_images_is_the_triple_loop_product(name):
         assert rep.evaluate(word) == expect
 
 
+def conjugated_tym(n):
+    """TYM_n conjugated by I + (1 + q) E_{1,n}: images with sum columns, none monomial."""
+    tym = make_tym(n, TQ)
+    c = TQ.one() + TQ.var("q")
+    u = RingMatrix.from_entries_dict(TQ, n, {**{(k, k): 1 for k in range(n)}, (0, n - 1): c})
+    u_inv = RingMatrix.from_entries_dict(TQ, n, {**{(k, k): 1 for k in range(n)}, (0, n - 1): -c})
+    return GenRep(n, n, TQ, {lt: u * m * u_inv for lt, m in tym.images.items()},
+                  name="conjugated tym")
+
+
+CHAINED = {
+    "burau": lambda n: make_burau(n, T.var("t")),
+    "burau*onedim": lambda n: tensor_one_dim(make_burau(n, TQ.var("t")), TQ.var("q", -1)),
+    "conjugated tym": conjugated_tym,
+    "lm_q(tym4)": lambda n: lm_q(make_tym(4, TQ)),
+}
+
+
+@st.composite
+def chained_word(draw):
+    name = draw(st.sampled_from(sorted(CHAINED)))
+    rep = CHAINED[name](draw(st.integers(2, 6)))
+    index = st.integers(1, rep.n - 1)
+    letter = st.tuples(st.just("s"), index, st.sampled_from((1, -1)))
+    length = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 25)))
+    return rep, BraidWord(rep.n, draw(st.lists(letter, min_size=length, max_size=length)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(chained_word())
+def test_chain_equals_the_left_fold_of_the_product(rep_word):
+    rep, word = rep_word
+    assert not rep._monomial_table()
+    expect = RingMatrix.identity(rep.ring, rep.dim)
+    for lt in word.letters:
+        expect = expect * rep.letter_image(lt)
+    got = rep.evaluate(word)
+    assert got == expect
+    if len(word) == 1:
+        assert got is rep.letter_image(word.letters[0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda p: make_burau(3, p),
+    lambda p: tensor_one_dim(make_burau(3, T.var("t")), p)])
+def test_exponents_near_exp_max_overflow_on_both_paths(make):
+    rep = make(T.var("t", 2 ** 30))
+    s, s_inv = ("s", 1, 1), ("s", 1, -1)
+    for letters, overflows in (([s, s_inv], False), ([s_inv, s, s_inv, s], False),
+                               ([s, s], True), ([s, s_inv, s, s], True)):
+        word = BraidWord(3, letters)
+        fold = RingMatrix.identity(T, 3)
+        if overflows:
+            with pytest.raises(OverflowError):
+                for lt in letters:
+                    fold = fold * rep.letter_image(lt)
+            with pytest.raises(OverflowError):
+                rep.evaluate(word)
+        else:
+            # the summed exponent bounds pass EXP_MAX, the exponents do not
+            for lt in letters:
+                fold = fold * rep.letter_image(lt)
+            assert fold.is_identity()
+            assert rep.evaluate(word) == fold
+
+
+def test_a_lone_one_column_shares_the_running_products_polynomials():
+    bur = make_burau(4, T.var("t"))
+    first = bur.letter_image(("s", 1, 1))
+    out = bur.evaluate(BraidWord(4, [("s", 1, 1), ("s", 3, 1), ("s", 3, -1)]))
+    # sigma_3 and its inverse keep columns 0 and 1 as lone 1s on the diagonal
+    shared = [(r, k) for r in range(4) for k in (0, 1) if first[r, k].terms]
+    assert len(shared) == 3
+    assert all(out[r, k] is first[r, k] for r, k in shared)
+
+
 FACTORIES = {
     "burau": lambda: make_burau(4, T.var("t")),
     "tym": lambda: make_tym(4),

@@ -222,6 +222,69 @@ def test_fox_fundamental_identity(w):
     assert lhs == rhs
 
 
+def fold_substitute(w, images, out):
+    """out times the image of w under x_g -> images[g], one product per letter."""
+    for g, s in w.letters:
+        out = out * (images[g] if s > 0 else images[g].inverse())
+    return out
+
+
+def reference_artin_action(word):
+    rank = word.n
+    images = {j: FreeWord.gen(rank, j) for j in range(1, rank + 1)}
+    for _, i, sign in word.letters:
+        x, y = (i, 1), (i + 1, 1)
+        rule = ([y], [(i + 1, -1), x, y]) if sign > 0 else ([x, y, (i, -1)], [x])
+        images[i], images[i + 1] = [fold_substitute(FreeWord(rank, r), images,
+                                                    FreeWord.identity(rank)) for r in rule]
+    return [images[j] for j in range(1, rank + 1)]
+
+
+def reference_chi(w):
+    n = w.rank
+    images = {}
+    for g in range(1, n + 1):
+        conj = BraidWord(n + 1, [("s", k, 1) for k in range(g - 1, 0, -1)])
+        images[g] = conj.inverse() * BraidWord.sigma(n + 1, g) ** 2 * conj
+    return fold_substitute(w, images, BraidWord.identity(n + 1))
+
+
+def reference_fox(w, j):
+    """D_j(w) letter by letter from the right: D_j(l u) = D_j(l) u + D_j(u)."""
+    rank = w.rank
+    out = GroupRingElement.zero(rank)
+    suffix = FreeWord.identity(rank)
+    for g, s in reversed(w.letters):
+        if g == j:
+            if s > 0:
+                out = out + GroupRingElement.from_word(suffix)
+            else:
+                out = out - GroupRingElement.from_word(FreeWord(rank, [(g, -1)]) * suffix)
+        suffix = FreeWord(rank, [(g, s)]) * suffix
+    return out
+
+
+def test_artin_chi_and_fox_match_their_letter_by_letter_definitions():
+    rng = random.Random(21)
+    for _ in range(40):
+        rank = rng.randrange(2, 6)
+        length = rng.randrange(0, 40)
+        braid = random_word(rng, rank, length)
+        assert artin_action(braid) == reference_artin_action(braid)
+        free = FreeWord(rank, [(rng.randrange(1, rank + 1), rng.choice((1, -1)))
+                               for _ in range(length)])
+        image = chi(free)
+        assert (image.n, image.letters) == (rank + 1, reference_chi(free).letters)
+        for j in range(1, rank + 1):
+            assert fox_derivative(free, j) == reference_fox(free, j)
+
+
+def test_chi_of_a_long_word_is_the_concatenation_of_its_halves():
+    rng = random.Random(4)
+    a, b = (FreeWord(5, [(rng.randrange(1, 6), 1) for _ in range(2000)]) for _ in range(2))
+    assert chi(a * b).letters == chi(a).letters + chi(b).letters
+
+
 def test_linking_profile_sigma1_squared():
     w = BraidWord(2, [("s", 1, 1), ("s", 1, 1)])
     prof = linking_profile_diagram(diagram_from_word(w))
