@@ -145,40 +145,7 @@ class RingMatrix:
     def __mul__(self, other):
         if not isinstance(other, RingMatrix):
             return NotImplemented
-        if self.cols != other.rows:
-            raise ShapeMismatch("%dx%d times %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        if self.ring != other.ring:
-            raise ContextMismatch("matrices over different rings")
-        plan = other._column_plan()
-        sums, srows, sbrows = plan.sums, plan.srows, plan.sbrows
-        ctx = self.ring
-        n, m, l = self.rows, self.cols, other.cols
-        raw = LaurentPoly._raw
-        zeros = [ctx.zero()] * l
-        flat = []
-        for i in range(n):
-            arow = self.entries[i * m:(i + 1) * m]
-            out = zeros[:]
-            for k, j in plan.copies:
-                out[k] = arow[j]
-            for k, j, b, kb, cb in plan.shifts:
-                a = arow[j]
-                if a.terms:
-                    bound = a._bound + b._bound
-                    if bound > EXP_MAX:
-                        bound = _product_bound(a, b)
-                    out[k] = raw(ctx, {ka + kb: ca * cb for ka, ca in a.terms.items()}, bound)
-            if sums:
-                # one exponent bound for the sum columns of this row
-                bound = max(arow[j]._bound for j in srows) + plan.bound
-                if bound > EXP_MAX:
-                    bound = max(_product_bound(arow[j], b) for _, col in sums for j, b in col)
-                prods = _row_products([arow[j].terms for j in srows], sbrows, len(sums))
-                for (k, _), d in zip(sums, prods):
-                    if d:
-                        out[k] = raw(ctx, d, bound)
-            flat.extend(out)
-        return RingMatrix(ctx, n, l, flat)
+        return _column_chain([self, other])
 
     def _column_plan(self):
         """This matrix's _ColumnPlan, built on first use and kept."""
@@ -352,7 +319,7 @@ class RingMatrix:
 
 
 class _ColumnPlan:
-    """How a matrix is read as the right factor of a product, from one scan.
+    """How a matrix is read in a product, from one scan.
 
     `columns[k]` lists (row j, polynomial) for the nonzero entries of
     column k.  Each nonzero column is also filed by kind.  A column whose
@@ -362,12 +329,9 @@ class _ColumnPlan:
     (k, j, b, kb, cb) in `shifts`: it adds kb to every key of column j.
     Every other nonzero column is a sum, (k, its entries) in `sums`.
     `bound` is the largest exponent bound of the shift and sum entries.
-    For the row kernel of RingMatrix.__mul__, `srows` lists the rows j
-    with an entry in a sum column and `sbrows` holds
-    [(position in sums, polynomial)] for each such row.
     """
 
-    __slots__ = ("columns", "copies", "shifts", "sums", "bound", "srows", "sbrows")
+    __slots__ = ("columns", "copies", "shifts", "sums", "bound")
 
     def __init__(self, m):
         l = m.cols
@@ -376,7 +340,6 @@ class _ColumnPlan:
             if b.terms:
                 columns[i % l].append((i // l, b))
         copies, shifts, sums = [], [], []
-        sbrows = [[] for _ in range(m.rows)]
         bound = 0
         for k, col in enumerate(columns):
             if len(col) == 1 and len(col[0][1].terms) == 1:
@@ -387,16 +350,12 @@ class _ColumnPlan:
                 ((kb, cb),) = b.terms.items()
                 shifts.append((k, j, b, kb, cb))
             elif col:
-                for j, b in col:
-                    sbrows[j].append((len(sums), b))
                 sums.append((k, col))
             for _, b in col:
                 if b._bound > bound:
                     bound = b._bound
         self.columns, self.copies, self.shifts, self.sums = columns, copies, shifts, sums
         self.bound = bound
-        self.srows = [j for j, brow in enumerate(sbrows) if brow]
-        self.sbrows = [sbrows[j] for j in self.srows]
 
 
 def _column_chain(factors):
@@ -410,7 +369,8 @@ def _column_chain(factors):
     shift column shifts the keys of one, and a sum column is the running
     product times that column by _row_products, with the column's entries
     as the row vector.  The product becomes a RingMatrix once, at the end.
-    It equals the left fold of RingMatrix.__mul__, with the same errors.
+    RingMatrix.__mul__ is this chain on two factors.  An exponent past
+    EXP_MAX raises OverflowError where the LaurentPoly products would.
     """
     first = factors[0]
     ctx, rows = first.ring, first.rows

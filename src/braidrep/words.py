@@ -384,18 +384,10 @@ def fox_derivative(w, j):
     Rules: D_j(x_i) = delta_ij, D_j(x_i^{-1}) = -delta_ij x_i^{-1},
     D_j(ab) = D_j(a) b + D_j(b).
     """
-    rank = w.rank
-    out = GroupRingElement.zero(rank)
-    m = len(w.letters)
-    for idx, (g, s) in enumerate(w.letters):
-        if g != j:
-            continue
-        suffix = FreeWord(rank, w.letters[idx + 1:])
-        if s > 0:
-            out = out + GroupRingElement.from_word(suffix)
-        else:
-            out = out - GroupRingElement.from_word(FreeWord(rank, [(g, -1)]) * suffix)
-    return out
+    rank, letters = w.rank, w.letters
+    # +(the suffix after x_j), or -(x_j^-1 and the suffix after it)
+    return GroupRingElement(rank, [(FreeWord(rank, letters[i + 1:] if s > 0 else letters[i:]), s)
+                                   for i, (g, s) in enumerate(letters) if g == j])
 
 
 class LinkingProfile:

@@ -31,8 +31,9 @@ def test_multiplication():
     assert b[0, 0] == t
     assert b[1, 1] == T.parse("1 - t + t^2")
     assert a * RingMatrix.identity(T, 2) == a
-    # a column that is a lone 1 shares the left factor's polynomials
-    assert all(x is y for x, y in zip((a * RingMatrix.identity(T, 2)).entries, a.entries))
+    # a column that is a lone 1 shares the left factor's nonzero polynomials
+    assert all(x is y for x, y in zip((a * RingMatrix.identity(T, 2)).entries, a.entries)
+               if y.terms)
 
 
 def test_shape_errors():
@@ -232,9 +233,10 @@ def chain_factors(draw):
 
 
 def left_fold(factors):
+    """The product of the factors by entrywise_product, independent of the chain."""
     out = factors[0]
     for m in factors[1:]:
-        out = out * m
+        out = entrywise_product(out, m)
     return out
 
 
@@ -269,6 +271,15 @@ def test_column_chain_shares_the_columns_a_lone_one_keeps():
             if first[r, k].terms:
                 assert out[r, k] is first[r, k]
     assert any(first[r, 0].terms for r in range(5))
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0)])
+def test_zero_size_products_equal_the_entrywise_product(shape):
+    r, m, l = shape
+    t = T.var("t")
+    a = RingMatrix(T, r, m, [t + i for i in range(r * m)])
+    b = RingMatrix(T, m, l, [t - i for i in range(m * l)])
+    assert a * b == _column_chain([a, b]) == entrywise_product(a, b)
 
 
 def test_column_chain_refuses_what_the_product_refuses():

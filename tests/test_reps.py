@@ -184,7 +184,7 @@ def test_evaluate_is_the_product_of_the_letter_images(rep_word):
     rep, word = rep_word
     expect = RingMatrix.identity(rep.ring, rep.dim)
     for lt in word.letters:
-        expect = expect * rep.letter_image(lt)
+        expect = entrywise_product(expect, rep.letter_image(lt))
     assert rep.evaluate(word) == expect
 
 
@@ -252,7 +252,7 @@ def test_chain_equals_the_left_fold_of_the_product(rep_word):
     assert not rep._monomial_table()
     expect = RingMatrix.identity(rep.ring, rep.dim)
     for lt in word.letters:
-        expect = expect * rep.letter_image(lt)
+        expect = entrywise_product(expect, rep.letter_image(lt))
     got = rep.evaluate(word)
     assert got == expect
     if len(word) == 1:
@@ -272,13 +272,13 @@ def test_exponents_near_exp_max_overflow_on_both_paths(make):
         if overflows:
             with pytest.raises(OverflowError):
                 for lt in letters:
-                    fold = fold * rep.letter_image(lt)
+                    fold = entrywise_product(fold, rep.letter_image(lt))
             with pytest.raises(OverflowError):
                 rep.evaluate(word)
         else:
             # the summed exponent bounds pass EXP_MAX, the exponents do not
             for lt in letters:
-                fold = fold * rep.letter_image(lt)
+                fold = entrywise_product(fold, rep.letter_image(lt))
             assert fold.is_identity()
             assert rep.evaluate(word) == fold
 
