@@ -121,6 +121,8 @@ def _parse_spec(items, ring, rep_name):
         if var not in ring.variables:
             raise CliError("--spec variable %r is not in the ring of %s %r"
                            % (var, rep_name, ring.variables), 2)
+        if var in images:
+            raise CliError("repeated --spec variable %r" % var, 2)
         images[var] = text
     mentioned = {name for text in images.values()
                  for kind, name in _tokenize(text) if kind == "name"}

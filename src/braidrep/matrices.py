@@ -326,9 +326,10 @@ class _ColumnPlan:
     lone nonzero entry is 1, at row j, is (k, j) in `copies`: it repeats
     column j of the left factor.  A column whose lone nonzero entry b, at
     row j, is the single term cb * (the monomial of key kb) is
-    (k, j, b, kb, cb) in `shifts`: it adds kb to every key of column j.
-    Every other nonzero column is a sum, (k, its entries) in `sums`.
-    `bound` is the largest exponent bound of the shift and sum entries.
+    (k, j, b, (kb, cb)) in `shifts`: it is column j of the left factor
+    times that monomial.  Every other nonzero column is a sum, (k, its
+    entries) in `sums`.  `bound` is the largest exponent bound of the
+    shift and sum entries.
     """
 
     __slots__ = ("columns", "copies", "shifts", "sums", "bound")
@@ -347,8 +348,8 @@ class _ColumnPlan:
                 if b.is_one():
                     copies.append((k, j))
                     continue
-                ((kb, cb),) = b.terms.items()
-                shifts.append((k, j, b, kb, cb))
+                (mono,) = b.terms.items()
+                shifts.append((k, j, b, mono))
             elif col:
                 sums.append((k, col))
             for _, b in col:
@@ -358,53 +359,83 @@ class _ColumnPlan:
         self.bound = bound
 
 
+_UNIT = (0, 1)
+"""The pending monomial 1 of _column_chain; the chain tests for it with `is`."""
+
+
 def _column_chain(factors):
     """The product of two or more matrices, carried as a list of sparse columns.
 
-    Column k of the running product lists (row, polynomial) for its nonzero
-    entries, as _ColumnPlan.columns does, and one exponent bound covers
-    them all.  The chain starts from the first factor's plan columns.  Each
-    further factor is read through its plan: a copy column reuses a column
-    of the running product (the same list, so the same polynomials), a
-    shift column shifts the keys of one, and a sum column is the running
-    product times that column by _row_products, with the column's entries
-    as the row vector.  The product becomes a RingMatrix once, at the end.
-    RingMatrix.__mul__ is this chain on two factors.  An exponent past
-    EXP_MAX raises OverflowError where the LaurentPoly products would.
+    Column k of the running product is a pair (entries, pending monomial):
+    `entries` lists (row, polynomial) as _ColumnPlan.columns does, and the
+    column is those entries times the monomial (key, coeff), or times 1
+    when it is _UNIT.  One exponent bound covers the product's entries.
+    The chain starts from the first factor's plan columns.  Each further
+    factor is read through its plan: a copy column takes a column of the
+    running product as it is (the same list, so the same polynomials), a
+    shift column takes one and multiplies only its monomial, and a sum
+    column is the running product times that column by _row_products,
+    with the column's entries, each times the monomial of the column it
+    meets, as the row vector.  _chain_matrix multiplies the monomials in
+    once, at the end.  RingMatrix.__mul__ is this chain on two factors.
+    An exponent past EXP_MAX raises OverflowError where the LaurentPoly
+    products would.
     """
     first = factors[0]
     ctx, rows = first.ring, first.rows
     raw = LaurentPoly._raw
     plan = first._column_plan()
-    cols, bound = plan.columns, plan.bound
+    cols, bound = [(col, _UNIT) for col in plan.columns], plan.bound
     for m in factors[1:]:
         if len(cols) != m.rows:
             raise ShapeMismatch("%dx%d times %dx%d" % (rows, len(cols), m.rows, m.cols))
         if m.ring != ctx:
             raise ContextMismatch("matrices over different rings")
         plan = m._column_plan()
-        new = [()] * m.cols
+        if bound + plan.bound > EXP_MAX:
+            # the monomials multiplied in, then the exact bound of every
+            # product this factor makes, or OverflowError
+            done = _chain_matrix(ctx, rows, cols, bound)._column_plan().columns
+            cols = [(col, _UNIT) for col in done]
+            bound = max([bound]
+                        + [_product_bound(a, b) for _, j, b, _ in plan.shifts for _, a in done[j]]
+                        + [_product_bound(a, b) for _, col in plan.sums
+                           for j, b in col for _, a in done[j]])
+        else:
+            bound += plan.bound
+        new = [((), _UNIT)] * m.cols
         for k, j in plan.copies:
             new[k] = cols[j]
-        bound += plan.bound
-        if bound > EXP_MAX:
-            # the exact bound of every product this factor makes, or OverflowError
-            bound = max([bound - plan.bound]
-                        + [_product_bound(a, b) for _, j, b, _, _ in plan.shifts for _, a in cols[j]]
-                        + [_product_bound(a, b) for _, col in plan.sums
-                           for j, b in col for _, a in cols[j]])
-        for k, j, b, kb, cb in plan.shifts:
-            new[k] = [(r, raw(ctx, {ka + kb: ca * cb for ka, ca in a.terms.items()}, bound))
-                      for r, a in cols[j]]
+        for k, j, _, mono in plan.shifts:
+            col, p = cols[j]
+            new[k] = (col, mono if p is _UNIT else (p[0] + mono[0], p[1] * mono[1]))
         for k, col in plan.sums:
-            prods = _row_products([b.terms for _, b in col], [cols[j] for j, _ in col], rows)
-            new[k] = [(r, raw(ctx, d, bound)) for r, d in enumerate(prods) if d]
+            arow, brows = [], []
+            for j, b in col:
+                entries, p = cols[j]
+                arow.append(b.terms if p is _UNIT
+                            else {kb + p[0]: cb * p[1] for kb, cb in b.terms.items()})
+                brows.append(entries)
+            prods = _row_products(arow, brows, rows)
+            new[k] = ([(r, raw(ctx, d, bound)) for r, d in enumerate(prods) if d], _UNIT)
         cols = new
+    return _chain_matrix(ctx, rows, cols, bound)
+
+
+def _chain_matrix(ctx, rows, cols, bound):
+    """The RingMatrix of _column_chain's columns, each pending monomial
+    multiplied into its column's entries."""
+    raw = LaurentPoly._raw
     l = len(cols)
     flat = [ctx.zero()] * (rows * l)
-    for k, col in enumerate(cols):
-        for r, a in col:
-            flat[r * l + k] = a
+    for k, (col, p) in enumerate(cols):
+        if p is _UNIT:
+            for r, a in col:
+                flat[r * l + k] = a
+        else:
+            kp, cp = p
+            for r, a in col:
+                flat[r * l + k] = raw(ctx, {ka + kp: ca * cp for ka, ca in a.terms.items()}, bound)
     return RingMatrix(ctx, rows, l, flat)
 
 

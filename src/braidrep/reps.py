@@ -1,8 +1,8 @@
 """Matrix representations of braid and welded braid groups given by generator images."""
 from __future__ import annotations
 
-from .matrices import RingMatrix, _column_chain, _monomial_rows
-from .ring import EXP_MAX, LaurentPoly, RingContext
+from .matrices import RingMatrix, _column_chain
+from .ring import RingContext
 from .words import BraidWord
 
 
@@ -13,13 +13,12 @@ class GenRep:
     ("s", i, -1) for sigma_i and its inverse, ("t", i) for tau_i when the
     representation is `welded`, and for a representation of F_n x| B_n also
     ("x", j, 1) and ("x", j, -1) for the free generator x_j and its
-    inverse, the letters of a FreeWord with "x" in front.  When every image
-    is monomial (one unit entry per row and per column), words are
-    evaluated by adding monomial keys instead of multiplying matrices; the
-    images themselves decide, on first use.
+    inverse, the letters of a FreeWord with "x" in front.  A word of two or
+    more letters, monomial images or not, is evaluated as one
+    matrices._column_chain of its letters' images.
     """
 
-    __slots__ = ("n", "dim", "ring", "images", "name", "welded", "_monomial")
+    __slots__ = ("n", "dim", "ring", "images", "name", "welded")
 
     def __init__(self, n, dim, ring, images, name="", welded=False):
         for i in range(1, n):
@@ -32,7 +31,6 @@ class GenRep:
         self.images = dict(images)
         self.name = name
         self.welded = welded
-        self._monomial = None
 
     def _by_index(self, *kind):
         """A fresh dict of the images of the letters (kind[0], i, *kind[1:]), by i."""
@@ -51,11 +49,6 @@ class GenRep:
     def evaluate(self, word):
         if word.n != self.n:
             raise ValueError("word on %d strands, representation on %d" % (word.n, self.n))
-        table = self._monomial_table()
-        if word.letters and table:
-            out = self._monomial_product(table, word.letters)
-            if out is not None:
-                return out
         return self._product(word.letters)
 
     def _product(self, letters):
@@ -66,43 +59,6 @@ class GenRep:
         if len(letters) == 1:
             return self.letter_image(letters[0])
         return _column_chain([self.letter_image(lt) for lt in letters])
-
-    def _monomial_table(self):
-        """Each letter's image as one (column, key, coeff, bound) per row.
-
-        Built once; an empty table when some image is not monomial.
-        """
-        if self._monomial is None:
-            rows = {lt: _monomial_rows(m) for lt, m in self.images.items()}
-            self._monomial = {} if None in rows.values() else rows
-        return self._monomial
-
-    def _monomial_product(self, table, letters):
-        """The product of the letters' monomial images, by key addition.
-
-        Row i of the running product is one (column, key, coeff, bound), so
-        a letter costs one lookup, key addition and sign product per row.
-        Keys add exactly while every exponent stays within EXP_MAX, which
-        the summed bounds guarantee; returns None when they cannot, and
-        for a letter with no table entry, leaving both to _product.
-        """
-        try:
-            rows = table[letters[0]]
-            for lt in letters[1:]:
-                img = table[lt]
-                rows = [(c2, k + k2, s * s2, b + b2)
-                        for c, k, s, b in rows for c2, k2, s2, b2 in (img[c],)]
-        except KeyError:
-            return None
-        if max((b for _, _, _, b in rows), default=0) > EXP_MAX:
-            return None
-        d = self.dim
-        ctx = self.ring
-        raw = LaurentPoly._raw
-        flat = [ctx.zero()] * (d * d)
-        for i, (c, k, s, b) in enumerate(rows):
-            flat[i * d + c] = raw(ctx, {k: s}, b)
-        return RingMatrix(ctx, d, d, flat)
 
     def check_relations(self):
         """Verify the defining relations of the (welded) braid group.

@@ -456,17 +456,18 @@ def test_non_unit_spec_image_exits_before_the_word_is_evaluated(tmp_path, capsys
 
 
 @pytest.mark.parametrize("spec, err", [
-    ("t", "error: bad --spec item 't', expected var=poly\n"),
-    ("u=1", "error: --spec variable 'u' is not in the ring of tym ('t',)\n"),
-    ("t=(t)", "error: bad token at offset 0 in '(t)'\n"),
-], ids=["no-equals", "foreign-variable", "bad-text"])
+    (("t",), "error: bad --spec item 't', expected var=poly\n"),
+    (("u=1",), "error: --spec variable 'u' is not in the ring of tym ('t',)\n"),
+    (("t=(t)",), "error: bad token at offset 0 in '(t)'\n"),
+    (("t=q", "t=-1"), "error: repeated --spec variable 't'\n"),
+], ids=["no-equals", "foreign-variable", "bad-text", "repeated-variable"])
 def test_malformed_spec_exits_before_the_word_is_evaluated(tmp_path, capsys, monkeypatch,
                                                            spec, err):
     def evaluate(self, word):
         raise AssertionError("evaluated before the --spec items were read")
     monkeypatch.setattr(GenRep, "evaluate", evaluate)
     word = write(tmp_path, "w.braid", "n=3\n1 -2\n")
-    assert run(capsys, "eval", "--rep", "tym", "--word", word, "--spec", spec) == (2, "", err)
+    assert run(capsys, "eval", "--rep", "tym", "--word", word, "--spec", *spec) == (2, "", err)
 
 
 @pytest.mark.parametrize("argv", [

@@ -188,21 +188,10 @@ def test_evaluate_is_the_product_of_the_letter_images(rep_word):
     assert rep.evaluate(word) == expect
 
 
-def test_monomial_path_is_chosen_from_the_images():
-    for name, make in REPS.items():
-        assert bool(make(4)._monomial_table()) == (name != "burau")
-
-
-def test_monomial_bound_overflow_falls_back_to_the_dense_product():
-    rep = tensor_one_dim(make_tym(3, T), T.var("t", 2 ** 30))
-    # the summed exponent bounds pass EXP_MAX, the exponents do not
-    assert rep.evaluate(BraidWord(3, [("s", 1, 1), ("s", 1, -1)])).is_identity()
-    with pytest.raises(OverflowError):
-        rep.evaluate(BraidWord(3, [("s", 1, 1), ("s", 1, 1)]))
-
-
 DENSE = {"lm_q(tym%d)" % (m + 2): (lambda m=m: lm_q(make_tym(m + 2, TQ))) for m in (3, 4)}
 DENSE.update(("burau%d" % n, lambda n=n: make_burau(n, T.var("t"))) for n in range(3, 7))
+# q-twisted: its identity columns become shift columns that later meet sum columns
+DENSE["burau4*onedim"] = lambda: tensor_one_dim(make_burau(4, TQ.var("t")), TQ.var("q"))
 
 
 @pytest.mark.parametrize("name", sorted(DENSE))
@@ -232,6 +221,7 @@ CHAINED = {
     "burau*onedim": lambda n: tensor_one_dim(make_burau(n, TQ.var("t")), TQ.var("q", -1)),
     "conjugated tym": conjugated_tym,
     "lm_q(tym4)": lambda n: lm_q(make_tym(4, TQ)),
+    "tym*onedim": lambda n: tensor_one_dim(make_tym(n, TQ), -TQ.var("q")),
 }
 
 
@@ -249,7 +239,6 @@ def chained_word(draw):
 @given(chained_word())
 def test_chain_equals_the_left_fold_of_the_product(rep_word):
     rep, word = rep_word
-    assert not rep._monomial_table()
     expect = RingMatrix.identity(rep.ring, rep.dim)
     for lt in word.letters:
         expect = entrywise_product(expect, rep.letter_image(lt))
@@ -261,12 +250,15 @@ def test_chain_equals_the_left_fold_of_the_product(rep_word):
 
 @pytest.mark.parametrize("make", [
     lambda p: make_burau(3, p),
-    lambda p: tensor_one_dim(make_burau(3, T.var("t")), p)])
+    lambda p: tensor_one_dim(make_burau(3, T.var("t")), p),
+    lambda p: tensor_one_dim(make_tym(3, T), p)])
 def test_exponents_near_exp_max_overflow_on_both_paths(make):
     rep = make(T.var("t", 2 ** 30))
     s, s_inv = ("s", 1, 1), ("s", 1, -1)
     for letters, overflows in (([s, s_inv], False), ([s_inv, s, s_inv, s], False),
-                               ([s, s], True), ([s, s_inv, s, s], True)):
+                               ([s, s], True), ([s, s_inv, s, s], True),
+                               # an intermediate product overflows, the last would not
+                               ([s, s, s_inv, s_inv], True)):
         word = BraidWord(3, letters)
         fold = RingMatrix.identity(T, 3)
         if overflows:
