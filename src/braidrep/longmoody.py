@@ -28,31 +28,29 @@ def _assemble(eta, name):
     of dimension n*d.
 
     Block (j, k) of the image of a letter lam is
-    eta_x(D_j a(lam)(x_k)) * eta(lam): the Fox derivative of the Artin
-    image, extended linearly over the x images, times the braid image.
-    Every sigma letter of eta's table is mapped.
+    eta_x(D_j a(lam)(x_k)) * eta(lam), the sum of c * eta(w lam) over the
+    terms c * w of the Fox derivative of the Artin image: one column chain
+    per term, ending in the letter, so the empty word gives eta(lam)
+    itself.  Only generators that occur in a(lam)(x_k) are differentiated,
+    and only the nonzero entries of each chain are added in.  Every sigma
+    letter of eta's table is mapped.
     """
     n, d, ring = eta.n, eta.dim, eta.ring
-
-    def x_image(elem):
-        """The linear extension of the x images to a nonzero group ring element."""
-        out = None
-        for w, c in elem.terms.items():
-            m = eta._product([("x", j, e) for j, e in w.letters])
-            if c != 1:
-                m = m.scale(ring.const(c))
-            out = m if out is None else out + m
-        return out
+    size, zero = n * d, ring.zero()
 
     def image(letter):
-        outer = eta.images[letter]
-        blocks = {}
+        flat = [zero] * (size * size)
         for k, target in enumerate(artin_action(BraidWord(n, [letter]))):
-            for j in range(1, n + 1):
-                dj = fox_derivative(target, j)
-                if not dj.is_zero():
-                    blocks[(j - 1, k)] = x_image(dj) * outer
-        return _from_blocks(ring, d, n, blocks)
+            for j in sorted({g for g, _ in target.letters}):
+                for w, c in fox_derivative(target, j).terms.items():
+                    m = eta._product([("x", g, e) for g, e in w.letters] + [letter])
+                    for col, entries in enumerate(m._column_plan().columns, k * d):
+                        for r, e in entries:
+                            at = ((j - 1) * d + r) * size + col
+                            e = e if c == 1 else e * c
+                            e = e if flat[at] is zero else flat[at] + e
+                            flat[at] = e if e.terms else zero
+        return RingMatrix(ring, size, size, flat)
 
     images = {lt: image(lt) for lt in eta.images if lt[0] == "s"}
     return GenRep(n, n * d, ring, images, name=name)

@@ -393,14 +393,14 @@ def _column_chain(factors):
             raise ContextMismatch("matrices over different rings")
         plan = m._column_plan()
         if bound + plan.bound > EXP_MAX:
-            # the monomials multiplied in, then the exact bound of every
-            # product this factor makes, or OverflowError
+            # the monomials multiplied in, then the exact bound of every entry
+            # this factor copies and every product it makes, or OverflowError
             done = _chain_matrix(ctx, rows, cols, bound)._column_plan().columns
             cols = [(col, _UNIT) for col in done]
-            bound = max([bound]
-                        + [_product_bound(a, b) for _, j, b, _ in plan.shifts for _, a in done[j]]
-                        + [_product_bound(a, b) for _, col in plan.sums
-                           for j, b in col for _, a in done[j]])
+            kept = ([(j, ctx.one()) for _, j in plan.copies]
+                    + [(j, b) for _, j, b, _ in plan.shifts]
+                    + [jb for _, col in plan.sums for jb in col])
+            bound = max([0] + [_product_bound(a, b) for j, b in kept for _, a in done[j]])
         else:
             bound += plan.bound
         new = [((), _UNIT)] * m.cols

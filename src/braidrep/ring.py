@@ -76,7 +76,7 @@ class PolyParseError(ValueError):
 class RingContext:
     """An ordered tuple of distinct Laurent variable names."""
 
-    __slots__ = ("variables", "_index", "_spec")
+    __slots__ = ("variables", "_index", "_spec", "_zero")
 
     def __init__(self, variables):
         vs = tuple(variables)
@@ -90,6 +90,7 @@ class RingContext:
         # (target, images, checked unit images, {source key: image}) of the
         # last `specialize` from this context
         self._spec = None
+        self._zero = LaurentPoly._raw(self, {}, 0)  # shared by every caller: values are immutable
 
     @property
     def arity(self):
@@ -102,7 +103,7 @@ class RingContext:
             raise KeyError("variable %r not in context %r" % (name, self.variables))
 
     def zero(self):
-        return LaurentPoly._raw(self, {}, 0)
+        return self._zero
 
     def one(self):
         return self.const(1)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidrep import reproduce
-from braidrep.longmoody import (WITNESS_PRIME, _EchelonBasis, _identity_verdict,
-                                _ImagesModP, _semidirect_pair, _witness_images,
-                                block_formula_lm_q_tym, check_semidirect,
+from braidrep.longmoody import (WITNESS_PRIME, _EchelonBasis, _from_blocks,
+                                _identity_verdict, _ImagesModP, _semidirect_pair,
+                                _witness_images, block_formula_lm_q_tym, check_semidirect,
                                 decompose_check, identify_trivial_burau,
                                 intertwining_check, irreducibility_probe,
                                 kernel_experiment, kernel_words, lm_apply, lm_q,
@@ -16,7 +16,9 @@ from braidrep.matrices import RingMatrix, direct_sum
 from braidrep.reps import (GenRep, make_burau, make_one_dim, make_tym, make_wtym,
                            tensor_one_dim)
 from braidrep.ring import PrimeField, RingContext, specialize
-from braidrep.words import BraidWord, FreeWord
+from braidrep.words import BraidWord, FreeWord, artin_action, fox_derivative
+
+from test_matrices import entrywise_product
 
 TQ = RingContext(("t", "q"))
 
@@ -155,6 +157,72 @@ def test_lm_semidirect_trivial_x_images():
                 assert block == tym.sigma_images[1]
             else:
                 assert block == RingMatrix.zeros(ring, d, d)
+
+
+def dense_assembly(eta):
+    """The sigma images of the construction on eta by the dense block formula.
+
+    Block (j, k) of the image of lam is the linear extension of the x images
+    to D_j a(lam)(x_k), as scaled and added d x d matrices, times eta(lam),
+    every product by entrywise_product.
+    """
+    n, d, ring = eta.n, eta.dim, eta.ring
+
+    def x_image(elem):
+        out = RingMatrix.zeros(ring, d, d)
+        for w, c in elem.terms.items():
+            m = RingMatrix.identity(ring, d)
+            for g, e in w.letters:
+                m = entrywise_product(m, eta.images[("x", g, e)])
+            out = out + m.scale(ring.const(c))
+        return out
+
+    images = {}
+    for lt in [lt for lt in eta.images if lt[0] == "s"]:
+        blocks = {}
+        for k, target in enumerate(artin_action(BraidWord(n, [lt]))):
+            for j in range(1, n + 1):
+                dj = fox_derivative(target, j)
+                if not dj.is_zero():
+                    blocks[(j - 1, k)] = entrywise_product(x_image(dj), eta.images[lt])
+        images[lt] = _from_blocks(ring, d, n, blocks)
+    return images
+
+
+def trivial_x_eta(n):
+    """TYM_n with every x image the identity: the Fox terms of a(sigma_i^-1)(x_i)
+    = x_i x_{i+1} x_i^-1 cancel, so its diagonal block is zero."""
+    ring = RingContext(("t",))
+    images = dict(make_tym(n, ring).images)
+    ident = RingMatrix.identity(ring, n)
+    images.update((("x", i, s), ident) for i in range(1, n + 1) for s in (1, -1))
+    return GenRep(n, n, ring, images)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_assembly_equals_the_dense_block_formula(n):
+    t1 = RingContext(("t",))
+    q = TQ.var("q")
+    pairs = {"lm(tym)": (lm_apply(make_tym(n + 1, t1)), _semidirect_pair(make_tym(n + 1, t1))),
+             "lm(burau)": (lm_apply(make_burau(n + 1, t1.var("t"))),
+                           _semidirect_pair(make_burau(n + 1, t1.var("t")))),
+             "lm(onedim:t)": (lm_apply(make_one_dim(n + 1, t1.var("t"))),
+                              _semidirect_pair(make_one_dim(n + 1, t1.var("t")))),
+             "lm_q(tym)": (lm_q(make_tym(n + 1, TQ)),
+                           tensor_one_dim(_semidirect_pair(make_tym(n + 1, TQ)), q * q, "x")),
+             "lm_sd(eta)": (lm_semidirect(make_eta(n, TQ)), make_eta(n, TQ)),
+             "lm_sd(eta,q)": (lm_semidirect(make_eta(n, TQ), q_twist=True),
+                              tensor_one_dim(make_eta(n, TQ), q, "x")),
+             "lm_sd(trivial x)": (lm_semidirect(trivial_x_eta(n)), trivial_x_eta(n))}
+    for name, (rep, eta) in pairs.items():
+        expect = dense_assembly(eta)
+        assert sorted(rep.images) == sorted(expect), name
+        for lt, m in rep.images.items():
+            assert m == expect[lt], (name, lt)
+            # every zero entry, a cancelled sum included, is the context's one zero
+            assert all(e is rep.ring.zero() for e in m.entries if not e.terms), (name, lt)
+    cancelled = pairs["lm_sd(trivial x)"][0].images[("s", 1, -1)]
+    assert _block(cancelled, 0, 0, n) == RingMatrix.zeros(cancelled.ring, n, n)
 
 
 def test_reduced_lm3_golden_rows():

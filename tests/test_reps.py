@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidrep import matrices
 from braidrep.longmoody import (lm_apply, lm_q, lm_semidirect, make_eta,
                                 reduced_lm3)
 from braidrep.matrices import RingMatrix
@@ -273,6 +274,24 @@ def test_exponents_near_exp_max_overflow_on_both_paths(make):
                 fold = entrywise_product(fold, rep.letter_image(lt))
             assert fold.is_identity()
             assert rep.evaluate(word) == fold
+
+
+def test_the_chain_bound_falls_back_after_the_exact_check(monkeypatch):
+    # 3,000 pairs sigma_i sigma_i^-1 on TYM_6 twisted by q^(2^20): the
+    # summed bounds pass EXP_MAX every ~2,000 letters, the exponents never
+    # pass 2^20, so the exact check resets the bound a handful of times
+    rep = tensor_one_dim(make_tym(6, TQ), TQ.var("q", 2 ** 20))
+    rng = random.Random(1)
+    letters = []
+    for _ in range(3000):
+        i = rng.randint(1, 5)
+        letters += [("s", i, 1), ("s", i, -1)]
+    calls = []
+    chain_matrix = matrices._chain_matrix
+    monkeypatch.setattr(matrices, "_chain_matrix",
+                        lambda *args: calls.append(args) or chain_matrix(*args))
+    assert rep.evaluate(BraidWord(6, letters)).is_identity()
+    assert 2 <= len(calls) <= 5
 
 
 def test_a_lone_one_column_shares_the_running_products_polynomials():

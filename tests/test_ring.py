@@ -4,6 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidrep import reproduce
 from braidrep.matrices import RingMatrix
 from braidrep.ring import (ContextMismatch, LaurentPoly, NotAUnit, PolyParseError,
                            PrimeField, RingContext, poly_render,
@@ -52,6 +53,27 @@ def test_const_and_int_coercion():
     assert t ** 2 == T.parse("t t")
     assert T.const(6) == T.parse("2 3")
     assert T.const(0).is_zero()
+
+
+def test_one_zero_per_context(monkeypatch):
+    ctx = RingContext(("t", "q"))
+    zero, t = ctx.zero(), ctx.var("t")
+    assert ctx.zero() is zero and ctx.const(0) is zero
+    assert t * zero is zero and zero * t is zero and t * 0 is zero and 0 * t is zero
+    assert (t - t).is_zero() and RingContext(("t", "q")).zero() == zero
+    # the zero is shared, so no operation may fill it in place: record the
+    # zero of every context a full reproduction run makes, then check them
+    zeros = [zero, reproduce.TQ.zero()]
+    init = RingContext.__init__
+
+    def recording_init(self, variables):
+        init(self, variables)
+        zeros.append(self._zero)
+
+    monkeypatch.setattr(RingContext, "__init__", recording_init)
+    assert all(r["result"] == "PASS" for r in reproduce.run(True))
+    assert len(zeros) > 2
+    assert all(z.terms == {} and z._bound == 0 for z in zeros)
 
 
 def test_render_example():
