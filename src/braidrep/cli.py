@@ -142,9 +142,7 @@ def cmd_eval(args, out):
     m = rep.evaluate(word)
     if spec:
         images, target = spec
-        zero = target.zero()  # most entries of a long word's image are zero
-        m = m.map_entries(lambda p: specialize(p, images, target) if p.terms else zero,
-                          ring=target)
+        m = m.map_entries(lambda p: specialize(p, images, target), ring=target)
     emit_matrix(m, args.format, out)
     return 0
 

@@ -44,9 +44,10 @@ def _assemble(eta, name):
             for j in sorted({g for g, _ in target.letters}):
                 for w, c in fox_derivative(target, j).terms.items():
                     m = eta._product([("x", g, e) for g, e in w.letters] + [letter])
-                    for col, entries in enumerate(m._column_plan().columns, k * d):
-                        for r, e in entries:
-                            at = ((j - 1) * d + r) * size + col
+                    for src, e in enumerate(m.entries):
+                        if e.terms:
+                            r, col = divmod(src, d)
+                            at = ((j - 1) * d + r) * size + k * d + col
                             e = e if c == 1 else e * c
                             e = e if flat[at] is zero else flat[at] + e
                             flat[at] = e if e.terms else zero

@@ -278,8 +278,16 @@ class RingMatrix:
         return self.map_entries(lambda e: specialize(e, images, ctx))
 
     def map_entries(self, fn, ring=None):
+        """The matrix of fn(e) for each entry e, over `ring` (default this one).
+
+        fn must be pure: it is called once per distinct entry object, and
+        that result stands wherever the object appears again (every zero
+        entry of a product is its context's one zero).
+        """
+        ids = list(map(id, self.entries))
+        images = {k: fn(e) for k, e in dict(zip(ids, self.entries)).items()}
         return RingMatrix(ring if ring is not None else self.ring,
-                          self.rows, self.cols, [fn(e) for e in self.entries])
+                          self.rows, self.cols, list(map(images.__getitem__, ids)))
 
     def render(self):
         """Text form: `rows cols` header, then `;`-separated rows."""
@@ -475,15 +483,14 @@ def direct_sum(blocks, ring=None):
     ring = blocks[0].ring
     rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
-    out = RingMatrix.zeros(ring, rows, cols)
-    flat = list(out.entries)
+    flat = [ring.zero()] * (rows * cols)
     r0 = c0 = 0
     for b in blocks:
         if b.ring != ring:
             raise ContextMismatch("direct sum over mixed rings")
         for i in range(b.rows):
-            for j in range(b.cols):
-                flat[(r0 + i) * cols + (c0 + j)] = b[i, j]
+            at = (r0 + i) * cols + c0
+            flat[at:at + b.cols] = b.row(i)
         r0 += b.rows
         c0 += b.cols
     return RingMatrix(ring, rows, cols, flat)

@@ -480,7 +480,7 @@ def specialize(p, images, target):
             out[k] = s
         else:
             del out[k]
-    return LaurentPoly._raw(target, out, bound)
+    return LaurentPoly._raw(target, out, bound) if out else target.zero()
 
 
 def _unit_images(ctx, imgs, target):

@@ -333,6 +333,34 @@ def test_direct_sum():
     assert s[0, 2].is_zero()
 
 
+def test_direct_sum_of_non_square_blocks_equals_the_entrywise_copy():
+    blocks = [tmat([["t", 2, "1 - t"]]), tmat([[3], ["t^-1"]]),
+              RingMatrix.zeros(T, 0, 2), tmat([["t", 0], [1, "t^2"], [5, "-t"]])]
+    s = direct_sum(blocks)
+    assert (s.rows, s.cols) == (6, 8)
+    want = [[T.zero()] * 8 for _ in range(6)]
+    r0 = c0 = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(b.cols):
+                want[r0 + i][c0 + j] = b[i, j]
+        r0, c0 = r0 + b.rows, c0 + b.cols
+    assert s == RingMatrix.from_rows(T, want)
+
+
+def test_map_entries_calls_fn_once_per_distinct_entry():
+    calls = []
+
+    def neg(p):
+        calls.append(p)
+        return -p
+
+    m = RingMatrix.identity(T, 6)
+    got = m.map_entries(neg)
+    assert len(calls) == 2
+    assert got == RingMatrix(T, 6, 6, [-e for e in m.entries])
+
+
 def test_render_parse_round_trip():
     t = T.var("t")
     m = tmat([[0, t ** -1], ["1 - t", 2]])

@@ -123,6 +123,17 @@ def test_specialize_rejects_non_unit():
         specialize(p, {"u": T.parse("t + 1"), "v": T.one()}, T)
 
 
+def test_specialize_returns_the_one_zero_of_the_target():
+    t = T.var("t")
+    assert specialize(UV.zero(), {"u": t, "v": t}, T) is T.zero()
+    assert specialize(UV.parse("u - v"), {"u": t, "v": t}, T) is T.zero()
+
+
+def test_specialize_of_an_all_zero_matrix_still_checks_the_images():
+    with pytest.raises(NotAUnit):
+        RingMatrix.zeros(T, 3, 3).map_entries(lambda p: specialize(p, {"t": T.parse("2*t")}, T))
+
+
 def test_specialize_to_prime_field():
     f = PrimeField(7)
     p = T.parse("t^2 + 3")
